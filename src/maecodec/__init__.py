@@ -12,9 +12,9 @@ and evaluation metrics.
 from . import tensor
 from .codec import (LoadedCodec, RdPoint, compress, compress_image, decompress,
                     decompress_image, feature_ratio, rd_curve, write_rd_csv)
-from .entropy import (BoxDensity, CdfTable, FactorizedDensity, add_uniform_noise,
-                      bin_probabilities, build_cdf_tables, choose_support,
-                      init_density, quantize, rate_bits)
+from .entropy import (CdfTable, FactorizedDensity, add_uniform_noise, bin_probabilities,
+                      build_cdf_tables, choose_support, init_density, quantize,
+                      rate_bits)
 from .exceptions import (BitstreamError, CheckpointError, CodingError,
                          ContractViolation, DatasetError, MaecodecError,
                          ModelHashMismatch, NumericDomainError, SupportRangeError)

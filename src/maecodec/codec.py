@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .entropy import build_cdf_tables, choose_support, quantize
-from .exceptions import ContractViolation, ModelHashMismatch
+from .exceptions import BitstreamError, ContractViolation, ModelHashMismatch
 from .image_io import read_image, write_image, write_pgm
 from .metrics import ms_ssim, ms_ssim_db, psnr
 from .network import (DOWNSAMPLE, bottleneck_scale_apply,
@@ -104,6 +104,15 @@ def decompress_image(codec, data):
             f"bitstream was made with checkpoint {bits.model_hash:016x}, "
             f"decoder has {codec.model_hash:016x}"
         )
+    if bits.lambda_index >= len(codec.tradeoffs):
+        raise BitstreamError(
+            f"lambda index {bits.lambda_index} out of range for "
+            f"{len(codec.tradeoffs)} tradeoffs")
+    latent_size = (-(-bits.height // DOWNSAMPLE), -(-bits.width // DOWNSAMPLE))
+    if (bits.latent_height, bits.latent_width) != latent_size:
+        raise BitstreamError(
+            f"latent {bits.latent_height}x{bits.latent_width} does not fit a "
+            f"{bits.height}x{bits.width} image, expected {latent_size[0]}x{latent_size[1]}")
     q, meta = unpack(bits, codec.tables())
     lam = codec.tradeoffs.lambdas[meta["lambda_index"]]
     lam_hat = codec.tradeoffs.normalized(lam)

@@ -140,24 +140,6 @@ def rate_bits(z_tilde, density):
     return T.reduce_sum(T.neg(T.log2(bin_probabilities(z_tilde, density))))
 
 
-class BoxDensity:
-    """Uniform density over [-half_width, half_width); test and demo helper.
-
-    Exposes the same cumulative/support interface as FactorizedDensity so
-    rate estimation and table building can run against a known-shape
-    density (each interior integer bin gets mass 1 / (2 * half_width)).
-    """
-
-    def __init__(self, half_width=128, support=None):
-        self.half_width = float(half_width)
-        self.support = int(support if support is not None else half_width)
-        self.channels = 1
-
-    def cumulative(self, t):
-        ramp = (t.data + self.half_width) / (2.0 * self.half_width)
-        return T.Tensor(np.clip(ramp, 0.0, 1.0))
-
-
 class CdfTable:
     """Fixed-point cumulative frequencies for one channel.
 
@@ -191,7 +173,18 @@ class CdfTable:
 
 
 def _quantize_pmf(pmf):
-    """16-bit frequencies: floor-then-largest-residual, minimum 1 each."""
+    """16-bit frequencies: floor-then-largest-residual, minimum 1 each.
+
+    A floor sum above 65536 (every trained density: the 2^-24 floor and
+    the minimum of 1 inflate it) comes down in passes, each taking 1 from
+    every frequency above 1, largest first with ties by lower index, until
+    the excess is gone.  After k full passes a bin has lost min(k, base-1),
+    so k is read off the sorted excesses and only the last, partial pass
+    is played out bin by bin.
+    """
+    if len(pmf) > TOTAL_FREQ:
+        raise ContractViolation(
+            f"{len(pmf)} bins cannot each keep a frequency of 1 out of {TOTAL_FREQ}")
     scaled = pmf * TOTAL_FREQ
     base = np.floor(scaled).astype(np.int64)
     np.maximum(base, 1, out=base)
@@ -203,24 +196,47 @@ def _quantize_pmf(pmf):
         base[order[:deficit]] += 1
     elif deficit < 0:
         take = -deficit
-        while take > 0:
-            order = np.lexsort((np.arange(len(pmf)), -base))
-            for idx in order:
-                if take == 0:
-                    break
-                if base[idx] > 1:
-                    base[idx] -= 1
-                    take -= 1
+        excess = base - 1
+        spent = np.minimum(excess, _full_passes(excess, take))
+        base -= spent
+        take -= int(spent.sum())
+        # the partial pass, in the order the remaining frequencies give
+        order = np.lexsort((np.arange(len(pmf)), -base))
+        base[order[base[order] > 1][:take]] -= 1
     cum = np.zeros(len(pmf) + 1, dtype=np.int64)
     np.cumsum(base, out=cum[1:])
     return cum
 
 
+def _full_passes(excess, take):
+    """Largest k with sum(min(excess, k)) <= take (take <= sum(excess))."""
+    ordered = np.sort(excess)
+    n = len(ordered)
+    below = np.concatenate(([0], np.cumsum(ordered)))  # sums of the j smallest
+    # what k full passes take once k reaches each sorted excess
+    at = below[:-1] + ordered * (n - np.arange(n))
+    j = int(np.searchsorted(at, take, side="right"))
+    if j == n:
+        return int(ordered[-1])
+    # k lies in [ordered[j-1], ordered[j]), where a pass takes n - j
+    return int((take - below[j]) // (n - j))
+
+
 def _grid_pmfs(density, support):
     """Per-channel bin masses on the integer grid [-L, L], tails folded
-    into the edge bins.  Returns (pmfs (C, 2L+1) float64, in-range mass)."""
-    edges = np.arange(-support, support + 1, dtype=np.float64) + 0.5  # 2L+1 edges? no: -L+0.5 ... L+0.5
-    edges = np.concatenate(([-support - 0.5], edges))
+    into the edge bins.  Returns (pmfs (C, 2L+1) float64, in-range mass),
+    both read-only.
+
+    The density keeps its last grid, reused while the support and the
+    parameters are unchanged: choose_support followed by build_cdf_tables
+    evaluates it once.
+    """
+    key = (support, b"".join(t.data.tobytes() for t in density.parameters().values()))
+    kept = getattr(density, "_kept_grid", None)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    # edges -L-1/2, -L+1/2, ..., L+1/2
+    edges = np.arange(-support, support + 2, dtype=np.float64) - 0.5
     c = density.channels
     grid = np.broadcast_to(edges, (c, 1, len(edges))).astype(np.float64)
     cdf = density.cumulative(T.Tensor(grid)).data.reshape(c, len(edges)).astype(np.float64)
@@ -229,6 +245,9 @@ def _grid_pmfs(density, support):
     pmf[:, 0] += cdf[:, 0]          # fold lower tail
     pmf[:, -1] += 1.0 - cdf[:, -1]  # fold upper tail
     np.maximum(pmf, PROB_FLOOR, out=pmf)
+    pmf.setflags(write=False)
+    mass.setflags(write=False)
+    density._kept_grid = (key, (pmf, mass))
     return pmf, mass
 
 

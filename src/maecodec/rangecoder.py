@@ -130,7 +130,8 @@ def rc_encode(symbols, tables):
 
 
 def rc_decode(data, tables, count):
-    """Recover exactly ``count`` symbols; raises CodingError on truncation."""
+    """Recover exactly ``count`` symbols; raises CodingError on truncation
+    or when the payload does not end where the symbols do."""
     if count != len(tables):
         raise ContractViolation(
             f"need one table per symbol: count {count}, {len(tables)} tables"
@@ -145,6 +146,11 @@ def rc_decode(data, tables, count):
             cum = table.cum.tolist()
             last_table = table
         out[i] = dec.decode(cum, TOTAL_FREQ)
+    # encoder and decoder move the same number of bytes, so a clean payload
+    # ends exactly where its last symbol does
+    if dec.pos != len(data):
+        raise CodingError(
+            f"decoding {count} symbols consumed {dec.pos} of {len(data)} payload bytes")
     return out
 
 

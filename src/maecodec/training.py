@@ -25,6 +25,7 @@ from .network import (CodecConfig, CodecModel, TradeoffSet,
 
 _CKPT_MAGIC = b"MAEC"
 _CKPT_VERSION = 1
+_CKPT_KEYS = ("channels", "mod_hidden", "mode", "lambdas", "iteration", "params")
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,8 @@ class Checkpoint:
     def from_bytes(cls, data):
         if data[:4] != _CKPT_MAGIC:
             raise CheckpointError("not a checkpoint file (bad magic)")
+        if len(data) < 9:
+            raise CheckpointError("checkpoint shorter than its 9-byte preamble")
         version, head_len = struct.unpack(">BI", data[4:9])
         if version != _CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -311,6 +314,9 @@ class Checkpoint:
             header = json.loads(data[9 : 9 + head_len].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+        if not isinstance(header, dict) or not all(key in header for key in _CKPT_KEYS):
+            raise CheckpointError(
+                f"checkpoint header must be an object with keys {', '.join(_CKPT_KEYS)}")
         offset = 9 + head_len
         params = {}
         for name, shape in header["params"]:

@@ -7,7 +7,7 @@ import pytest
 from maecodec.codec import (LoadedCodec, compress, compress_image, decompress,
                             decompress_image, evaluate_image, feature_ratio,
                             ratio_map_to_gray, rd_curve, write_rd_csv)
-from maecodec.exceptions import ContractViolation, ModelHashMismatch
+from maecodec.exceptions import BitstreamError, ContractViolation, ModelHashMismatch
 from maecodec.image_io import read_image, read_ppm, write_ppm
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.rangecoder import HEADER_SIZE, Bitstream
@@ -74,6 +74,18 @@ class TestCompressDecompress:
         data[20] ^= 0xFF  # corrupt one model_hash byte
         with pytest.raises(ModelHashMismatch):
             decompress_image(trained, bytes(data))
+
+    def test_bitstream_lambda_index_out_of_range(self, trained):
+        bits = Bitstream.from_bytes(compress_image(trained, make_image(58, 48, 48), 0))
+        bits.lambda_index = len(trained.tradeoffs)
+        with pytest.raises(BitstreamError, match="lambda index 3"):
+            decompress_image(trained, bits.to_bytes())
+
+    def test_latent_size_must_fit_image_size(self, trained):
+        bits = Bitstream.from_bytes(compress_image(trained, make_image(59, 64, 64), 0))
+        bits.height = 1000  # the 4x4 latent would decode silently to 64x64
+        with pytest.raises(BitstreamError, match="expected 63x4"):
+            decompress_image(trained, bits.to_bytes())
 
     def test_file_round_trip(self, trained, tmp_path):
         img = make_image(57, 80, 64)

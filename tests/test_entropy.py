@@ -1,15 +1,24 @@
 """Quantizer, noise proxy, learned density, and CDF-table contracts."""
 
+import copy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from maecodec import tensor as T
-from maecodec.entropy import (PROB_FLOOR, TOTAL_FREQ, BoxDensity, CdfTable,
-                              add_uniform_noise, bin_probabilities,
+from maecodec.entropy import (PROB_FLOOR, TOTAL_FREQ, CdfTable, _grid_pmfs,
+                              _quantize_pmf, add_uniform_noise, bin_probabilities,
                               build_cdf_tables, choose_support, init_density,
                               quantize, rate_bits)
-from maecodec.exceptions import SupportRangeError
-from maecodec.training import Adam
+from maecodec.exceptions import ContractViolation, SupportRangeError
+from maecodec.training import Adam, Checkpoint, model_from_checkpoint
+
+import reference_tables
+from reference_tables import BoxDensity
+
+BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+                    / "desk_mae32_seed0.ckpt")
 
 
 class TestQuantize:
@@ -128,8 +137,6 @@ class TestTables:
         assert (sums <= 1.0 + 1e-12).all()
 
     def test_uniform_pmf_gives_uniform_frequencies(self):
-        from maecodec.entropy import _quantize_pmf
-
         cum = _quantize_pmf(np.full(256, 1.0 / 256.0))
         np.testing.assert_array_equal(np.diff(cum), np.full(256, 256))
         assert cum[-1] == TOTAL_FREQ
@@ -152,8 +159,10 @@ class TestTables:
 
     def test_tables_deterministic(self):
         density = _burned_in_density(channels=2, steps=100)
+        # a copy taken before the first build evaluates its own grid
+        twin = copy.deepcopy(density)
         t1 = build_cdf_tables(density)
-        t2 = build_cdf_tables(density)
+        t2 = build_cdf_tables(twin)
         for a, b in zip(t1, t2):
             np.testing.assert_array_equal(a.cum, b.cum)
 
@@ -167,3 +176,103 @@ class TestTables:
         assert choose_support(density) == 255  # default is already enough
         wide = _burned_in_density(channels=1, steps=0, scale=1.0)
         assert choose_support(wide) >= 255
+
+    def test_grid_evaluated_once_per_build(self):
+        density = _burned_in_density(channels=2, steps=50)
+        calls = []
+        evaluate = density.cumulative
+        density.cumulative = lambda t: calls.append(t.shape) or evaluate(t)
+        density.support = choose_support(density)
+        before = build_cdf_tables(density)
+        assert len(calls) == 1
+        # a changed parameter invalidates the kept grid
+        density.biases[-1].data += 3.0
+        after = build_cdf_tables(density)
+        assert len(calls) == 2
+        assert not np.array_equal(before[0].cum, after[0].cum)
+
+
+def _deficit(pmf):
+    """65536 minus the floor sum (minimum 1): < 0 means counts are taken back."""
+    return TOTAL_FREQ - int(np.maximum(np.floor(pmf * TOTAL_FREQ), 1).sum())
+
+
+def _counts_pmf(counts):
+    """A pmf whose floors are exactly ``counts`` (counts / 2^16 is exact)."""
+    return np.asarray(counts, dtype=np.float64) / TOTAL_FREQ
+
+
+class TestQuantizePmfAgainstReference:
+    """The pmf quantizer returns the pass-by-pass reference's table."""
+
+    def assert_matches(self, pmf):
+        np.testing.assert_array_equal(_quantize_pmf(pmf), reference_tables.quantize_pmf(pmf))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deficit_positive(self, seed):
+        pmf = np.random.default_rng(seed).dirichlet(np.ones(511))
+        assert _deficit(pmf) > 0
+        self.assert_matches(pmf)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deficit_zero(self, seed):
+        counts = np.random.default_rng(seed).integers(1, 200, size=511)
+        counts[0] += TOTAL_FREQ - counts.sum()
+        pmf = _counts_pmf(counts)
+        assert _deficit(pmf) == 0
+        self.assert_matches(pmf)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_partial_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 200, size=511)
+        counts[0] += TOTAL_FREQ - counts.sum()
+        counts[rng.choice(511, size=40, replace=False)] += 1
+        pmf = _counts_pmf(counts)
+        assert 0 < -_deficit(pmf) < (counts > 1).sum()
+        self.assert_matches(pmf)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_passes_then_tied_partial_pass(self, seed):
+        # 150 bins tied at 470 over bins of 3, 2 and 1 in shuffled places:
+        # the 2s and 3s run out after the first passes, 35 full passes take
+        # 5550 of the 5625, and the last 75 come off the tied 435s by index
+        counts = np.array([470] * 150 + [3] * 100 + [2] * 100 + [1] * 161)
+        counts = np.random.default_rng(seed).permutation(counts)
+        pmf = _counts_pmf(counts)
+        assert _deficit(pmf) == -5625
+        cum = _quantize_pmf(pmf)
+        freqs = np.diff(cum)
+        assert sorted(set(freqs[counts == 470])) == [434, 435]
+        assert (freqs[counts == 470] == 434).sum() == 75
+        self.assert_matches(pmf)
+
+    @pytest.mark.parametrize("mass", [0.4, 1.0, 1.7])
+    def test_one_bin(self, mass):
+        self.assert_matches(np.array([mass]))
+
+    @pytest.mark.parametrize("support", [0, 1, 255])
+    def test_grid_supports(self, support):
+        pmfs, _ = _grid_pmfs(init_density(3, dtype=np.float64), support)
+        assert pmfs.shape == (3, 2 * support + 1)
+        for pmf in pmfs:
+            self.assert_matches(pmf)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_floored_pmfs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for n in (2, 3, 17, 64, 511):
+            pmf = np.maximum(rng.laplace(scale=rng.uniform(0.5, 20), size=n) ** 2, PROB_FLOOR)
+            self.assert_matches(pmf / pmf.sum())
+
+    def test_every_channel_of_a_trained_density(self):
+        density = model_from_checkpoint(Checkpoint.load(BENCH_CHECKPOINT)).density
+        pmfs, _ = _grid_pmfs(density, choose_support(density))
+        assert all(_deficit(pmf) < 0 for pmf in pmfs)
+        for pmf in pmfs:
+            self.assert_matches(pmf)
+
+    def test_more_bins_than_counts_rejected(self):
+        n = TOTAL_FREQ + 1
+        with pytest.raises(ContractViolation, match="frequency of 1"):
+            _quantize_pmf(np.full(n, 1.0 / n))

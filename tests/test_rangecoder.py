@@ -86,6 +86,13 @@ class TestErrors:
         with pytest.raises(CodingError, match="truncated"):
             rc_decode(payload[: len(payload) // 2], [table] * 500, 500)
 
+    def test_unconsumed_payload_bytes_rejected(self, rng):
+        table = random_table(rng, 16)
+        syms = rng.integers(0, 16, size=500)
+        payload = rc_encode(syms, [table] * 500)
+        with pytest.raises(CodingError, match=f"consumed {len(payload)} of {len(payload) + 1}"):
+            rc_decode(payload + b"\x00", [table] * 500, 500)
+
     def test_wrong_count_is_rejected(self, rng):
         table = random_table(rng, 16)
         payload = rc_encode([1, 2, 3], [table] * 3)

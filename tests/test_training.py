@@ -1,6 +1,9 @@
 """Training loop: objective structure, Adam oracle, tradeoff sampling,
 determinism, checkpoints, schedules, and dataset handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -321,6 +324,20 @@ class TestCheckpoint:
             Checkpoint.from_bytes(b"XXXX" + data[4:])
         with pytest.raises(CheckpointError, match="truncated"):
             Checkpoint.from_bytes(data[:-10])
+
+    def test_short_checkpoint_rejected(self):
+        with pytest.raises(CheckpointError, match="9-byte"):
+            Checkpoint.from_bytes(b"MAEC\x01\x00")
+
+    def test_header_missing_key_rejected(self):
+        data = snapshot(tiny_model(), 0).to_bytes()
+        head_len = struct.unpack(">I", data[5:9])[0]
+        header = json.loads(data[9 : 9 + head_len])
+        del header["mode"]
+        head = json.dumps(header).encode()
+        with pytest.raises(CheckpointError, match="keys"):
+            Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
+                                  + data[9 + head_len:])
 
     def test_lambda_index_preserved(self):
         model = tiny_model("plain")
