@@ -23,7 +23,15 @@ from .metrics import ms_ssim, ms_ssim_db, psnr
 from .network import (DOWNSAMPLE, bottleneck_scale_apply,
                       bottleneck_scale_invert)
 from .rangecoder import Bitstream, pack, unpack
-from .training import Checkpoint, model_from_checkpoint
+from .training import NETWORK_MODES, Checkpoint, model_from_checkpoint
+
+
+# Largest image, in pixels, the codec compresses or decompresses (2048 x
+# 2048).  The header's 16-bit sides would let a 2 KB file declare
+# 65535 x 65535 pixels, and the decoder then allocate 32 x 4096^2 table
+# references and a ~51 GB synthesis canvas; at this budget a 32-channel
+# decode peaks at about 450 MB.
+MAX_PIXELS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,9 @@ def compress_image(codec, image_hwc, lambda_index):
             f"lambda index {lambda_index} out of range for {len(tradeoffs)} tradeoffs"
         )
     h, w = image_hwc.shape[:2]
+    if h * w > MAX_PIXELS:
+        raise ContractViolation(
+            f"{h}x{w} image exceeds the codec's budget of {MAX_PIXELS} pixels")
     q = quantize(codec.latent(image_hwc, tradeoffs.lambdas[lambda_index]))
     meta = {"width": w, "height": h, "lambda_index": lambda_index,
             "model_hash": codec.model_hash}
@@ -108,6 +119,10 @@ def decompress_image(codec, data):
         raise BitstreamError(
             f"lambda index {bits.lambda_index} out of range for "
             f"{len(codec.tradeoffs)} tradeoffs")
+    if bits.height * bits.width > MAX_PIXELS:
+        raise BitstreamError(
+            f"{bits.height}x{bits.width} image exceeds the codec's budget of "
+            f"{MAX_PIXELS} pixels")
     latent_size = (-(-bits.height // DOWNSAMPLE), -(-bits.width // DOWNSAMPLE))
     if (bits.latent_height, bits.latent_width) != latent_size:
         raise BitstreamError(
@@ -159,8 +174,12 @@ def evaluate_image(codec, image_hwc, lambda_index):
     )
 
 
+_METHODS = {mode: method for method, mode in NETWORK_MODES.items()}
+
+
 def method_name(mode):
-    return {"plain": "independent"}.get(mode, mode)
+    """The training method that produces a network of ``mode``."""
+    return _METHODS.get(mode, mode)
 
 
 def _mean_point(points):

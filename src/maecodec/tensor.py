@@ -15,7 +15,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit as _expit
 
 from .exceptions import ContractViolation, NumericDomainError
@@ -202,10 +201,97 @@ def _pad_hw(x, pad):
     return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
-def _strided_windows(x, kh, kw, stride):
-    # x: (N, C, H, W) -> (N, C, Ho, Wo, kh, kw) view
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+# Convolutions run as GEMMs over channels-first arrays: an array of shape
+# (..., N, h, w) stands for the matrix whose columns are its N*h*w spatial
+# positions and whose rows flatten the leading axes.  _im2col gathers the
+# strided windows of a feature map into such an array, _col2im adds one
+# back into a canvas.
+
+
+def _im2col(x, kh, kw, stride, ho, wo):
+    """(C, kh, kw, N, ho, wo) array of the strided kh x kw windows of x.
+
+    Entry (c, a, b, n, i, j) is tap (a, b) of channel c in the window of
+    output position (n, i, j); the buffer is filled one tap at a time.
+    1x1 windows at stride 1 are x itself, returned as a (C, N, H, W) view.
+    """
+    if kh == kw == stride == 1:
+        return x.transpose(1, 0, 2, 3)
+    n, c = x.shape[:2]
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    for a in range(kh):
+        for b in range(kw):
+            cols[:, a, b] = x[:, :, a : a + (ho - 1) * stride + 1 : stride,
+                              b : b + (wo - 1) * stride + 1 : stride].transpose(1, 0, 2, 3)
+    return cols
+
+
+def _col2im(contrib, canvas, kh, kw, stride, h, w):
+    """Add a (C*kh*kw, N*h*w) contribution matrix into the strided NCHW canvas.
+
+    The adjoint of _im2col.  Taps are added in (a, b) order, so every
+    canvas pixel sums its contributions in that order.
+    """
+    n, c = canvas.shape[:2]
+    contrib = contrib.reshape(c, kh, kw, n, h, w)
+    for a in range(kh):
+        for b in range(kw):
+            canvas[:, :, a : a + (h - 1) * stride + 1 : stride,
+                   b : b + (w - 1) * stride + 1 : stride] += contrib[:, a, b].transpose(1, 0, 2, 3)
+    return canvas
+
+
+def _rows(arr):
+    # (..., N, h, w) -> (rows, N*h*w); a view unless N > 1 and arr is a
+    # transposed NCHW array
+    return arr.reshape(-1, arr.shape[-3] * arr.shape[-2] * arr.shape[-1])
+
+
+def _positions(arr):
+    # (..., N, h, w) -> (N*h*w, rows), laid out as np.tensordot laid out
+    # the same matrix: a view of a (C, N, h, w) array where one exists, a
+    # C-contiguous copy of a (C, kh, kw, N, h, w) window buffer
+    lead = arr.ndim - 3
+    axes = (lead, lead + 1, lead + 2) + tuple(range(lead))
+    mat = arr.transpose(axes).reshape(arr.shape[-3] * arr.shape[-2] * arr.shape[-1], -1)
+    return mat if lead == 1 else np.ascontiguousarray(mat)
+
+
+# Small products (at most _SMALL_GEMM multiply-adds) and matrix-vector
+# products are formed with the spatial positions as rows, from operands
+# laid out as np.tensordot lays them out for the sliding-window formulation
+# (tests/reference_conv.py).  OpenBLAS (0.3.31, AVX-512) sends products of
+# up to 10**6 multiply-adds to small-matrix kernels, and matrix-vector
+# products to gemv, whose summation order depends on the operands' layout;
+# this layout keeps their sums bit for bit.  Larger products run through
+# the blocked GEMM, which packs its operands and sums the same way in
+# either layout.
+_SMALL_GEMM = 1 << 21
+
+
+def _small_gemm(p, q, m):
+    return p * q * m <= _SMALL_GEMM or min(p, m) == 1
+
+
+def _matmul_positions(a, arr):
+    """a (p, q) @ _rows(arr) -> (p, N*h*w)."""
+    m = arr.shape[-3] * arr.shape[-2] * arr.shape[-1]
+    if _small_gemm(a.shape[0], a.shape[1], m):
+        return np.dot(_positions(arr), a.T).T
+    return a @ _rows(arr)
+
+
+def _kernel_grad(g, arr, shape):
+    """_rows(g) @ _rows(arr).T, reshaped to the kernel's shape."""
+    g2 = _rows(g)
+    if _small_gemm(g2.shape[0], g2.shape[1], arr.size // g2.shape[1]):
+        return np.dot(g2, _positions(arr)).reshape(shape)
+    return (g2 @ _rows(arr).T).reshape(shape)
+
+
+def _channels_first(mat, n, h, w):
+    # (C, N*h*w) GEMM output -> contiguous (N, C, h, w)
+    return np.ascontiguousarray(mat.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 def _check_conv_args(stride, padding):
@@ -236,44 +322,26 @@ def conv2d(x, kernel, stride=1, padding=0):
             f"conv2d kernel {kh}x{kw} does not fit input {h}x{w} with padding {padding}"
         )
 
-    xp = _pad_hw(x.data, padding)
-    win = _strided_windows(xp, kh, kw, stride)
-    out_data = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = Tensor(np.ascontiguousarray(out_data.transpose(0, 3, 1, 2)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    kmat = kernel.data.reshape(co, -1)
+    cols = _im2col(_pad_hw(x.data, padding), kh, kw, stride, ho, wo)
+    out = Tensor(_channels_first(_matmul_positions(kmat, cols), n, ho, wo))
 
     def backward(g):
+        gt = g.transpose(1, 0, 2, 3)
         gx = None
         if x.requires_grad:
-            gx = _conv2d_input_grad(g, kernel.data, x.shape, stride, padding)
+            canvas = np.zeros((n, ci, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+            _col2im(_matmul_positions(kmat.T, gt), canvas, kh, kw, stride, ho, wo)
+            gx = canvas if padding == 0 else np.ascontiguousarray(
+                canvas[:, :, padding : padding + h, padding : padding + w])
         gk = None
         if kernel.requires_grad:
-            gwin = _strided_windows(_pad_hw(x.data, padding), kh, kw, stride)
-            gk = np.tensordot(g, gwin, axes=([0, 2, 3], [0, 2, 3]))
+            gk = _kernel_grad(gt, cols, kernel.shape)
         return gx, gk
 
     return _record(out, (x, kernel), backward)
-
-
-def _scatter_windows(contrib, canvas, stride):
-    # contrib: (N, C, H, W, kh, kw); adds each kh*kw tap into the strided canvas
-    _, _, h, w, kh, kw = contrib.shape
-    for a in range(kh):
-        for b in range(kw):
-            canvas[:, :, a : a + (h - 1) * stride + 1 : stride,
-                   b : b + (w - 1) * stride + 1 : stride] += contrib[..., a, b]
-    return canvas
-
-
-def _conv2d_input_grad(g, kdata, x_shape, stride, padding):
-    # adjoint of conv2d with respect to its input
-    n, ci, h, w = x_shape
-    contrib = np.tensordot(g, kdata, axes=([1], [0]))  # (N, Ho, Wo, Ci, kh, kw)
-    contrib = contrib.transpose(0, 3, 1, 2, 4, 5)
-    canvas = np.zeros((n, ci, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-    _scatter_windows(contrib, canvas, stride)
-    if padding == 0:
-        return canvas
-    return np.ascontiguousarray(canvas[:, :, padding : padding + h, padding : padding + w])
 
 
 def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
@@ -307,36 +375,27 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
         raise ContractViolation(
             f"conv2d_transpose output extent {th}x{tw} is not positive"
         )
+    canvas_shape = (n, co, (h - 1) * stride + kh + output_padding,
+                    (w - 1) * stride + kw + output_padding)
 
-    def forward(xdata, kdata):
-        contrib = np.tensordot(xdata, kdata, axes=([1], [0]))  # (N, H, W, Co, kh, kw)
-        contrib = contrib.transpose(0, 3, 1, 2, 4, 5)
-        canvas = np.zeros(
-            (n, co, (h - 1) * stride + kh + output_padding,
-             (w - 1) * stride + kw + output_padding),
-            dtype=xdata.dtype,
-        )
-        _scatter_windows(contrib, canvas, stride)
-        return np.ascontiguousarray(canvas[:, :, padding : padding + th, padding : padding + tw])
-
-    out = Tensor(forward(x.data, kernel.data))
+    kmat = kernel.data.reshape(ci, -1)
+    xt = x.data.transpose(1, 0, 2, 3)
+    canvas = np.zeros(canvas_shape, dtype=x.dtype)
+    _col2im(_matmul_positions(kmat.T, xt), canvas, kh, kw, stride, h, w)
+    out = Tensor(np.ascontiguousarray(
+        canvas[:, :, padding : padding + th, padding : padding + tw]))
 
     def backward(g):
         # re-embed the gradient into canvas coordinates, then gather windows
-        canvas = np.zeros(
-            (n, co, (h - 1) * stride + kh + output_padding,
-             (w - 1) * stride + kw + output_padding),
-            dtype=g.dtype,
-        )
+        canvas = np.zeros(canvas_shape, dtype=g.dtype)
         canvas[:, :, padding : padding + th, padding : padding + tw] = g
-        win = sliding_window_view(canvas, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = _im2col(canvas, kh, kw, stride, h, w)
         gx = None
         if x.requires_grad:
-            gx = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-            gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+            gx = _channels_first(_matmul_positions(kmat, cols), n, h, w)
         gk = None
         if kernel.requires_grad:
-            gk = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
+            gk = _kernel_grad(xt, cols, kernel.shape)
         return gx, gk
 
     return _record(out, (x, kernel), backward)

@@ -27,6 +27,10 @@ _CKPT_MAGIC = b"MAEC"
 _CKPT_VERSION = 1
 _CKPT_KEYS = ("channels", "mod_hidden", "mode", "lambdas", "iteration", "params")
 
+# training method -> network mode, where the two names differ: the
+# independent method trains a plain (single-tradeoff) autoencoder
+NETWORK_MODES = {"independent": "plain"}
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -485,7 +489,7 @@ def train(config, dataset, log_path=None):
             raise DatasetError("every training image must be at least crop-size on both sides")
 
     tradeoffs = config.tradeoffs
-    mode = {"independent": "plain"}.get(config.mode, config.mode)
+    mode = NETWORK_MODES.get(config.mode, config.mode)
     model = CodecModel(config.codec_config, tradeoffs, mode, seed=config.seed)
     lr_ratio = config.lr_entropy / config.lr_main
     # scale vectors and modulation networks are variable-rate state: the

@@ -169,6 +169,33 @@ def ensure_trained(max_workers=2, log=print):
     return result
 
 
+def compare(old_digest, log=print):
+    """Byte-compare every checkpoint of the current digest with those of
+    ``old_digest``; log each mismatch or missing file, return their count."""
+    old_dir, new_dir = ARTIFACTS / old_digest, cache_dir()
+    names = sorted({p.name for d in (old_dir, new_dir) for p in d.glob("*.ckpt")})
+    if not names:
+        log(f"no checkpoints in {old_dir.name}/ or {new_dir.name}/")
+        return 1
+    faults = 0
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.exists() and new.exists()):
+            log(f"missing: {name} not in {(new_dir if old.exists() else old_dir).name}/")
+        elif old.read_bytes() != new.read_bytes():
+            log(f"differs: {name}")
+        else:
+            continue
+        faults += 1
+    log(f"{len(names) - faults} of {len(names)} checkpoints in {new_dir.name}/ "
+        f"byte-identical to {old_dir.name}/")
+    return faults
+
+
 if __name__ == "__main__":
+    # python tests/desk_protocol.py compare OLD_DIGEST
+    # python tests/desk_protocol.py METHOD LAMBDA_INDEX|none SEED  (one desk job)
+    if sys.argv[1] == "compare":
+        sys.exit(1 if compare(sys.argv[2]) else 0)
     method_arg, lam_arg, seed_arg = sys.argv[1], sys.argv[2], sys.argv[3]
     run_job(method_arg, None if lam_arg == "none" else int(lam_arg), int(seed_arg))

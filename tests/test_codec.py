@@ -1,10 +1,12 @@
 """File-level codec: padding policy, deterministic bitstreams, bpp
 accounting, hash guarding, R-D curve output, and feature-ratio maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from maecodec.codec import (LoadedCodec, compress, compress_image, decompress,
+from maecodec.codec import (MAX_PIXELS, LoadedCodec, compress, compress_image, decompress,
                             decompress_image, evaluate_image, feature_ratio,
                             ratio_map_to_gray, rd_curve, write_rd_csv)
 from maecodec.exceptions import BitstreamError, ContractViolation, ModelHashMismatch
@@ -86,6 +88,35 @@ class TestCompressDecompress:
         bits.height = 1000  # the 4x4 latent would decode silently to 64x64
         with pytest.raises(BitstreamError, match="expected 63x4"):
             decompress_image(trained, bits.to_bytes())
+
+    def test_oversized_header_rejected_before_allocating(self, trained):
+        # a 2 KB file declaring 65535 x 65535 pixels: 4096 x 4096 latents
+        # per channel, a ~51 GB synthesis canvas
+        data = Bitstream(width=65535, height=65535, lambda_index=0,
+                         channels=len(trained.tables()), latent_height=4096,
+                         latent_width=4096, model_hash=trained.model_hash,
+                         payload=bytes(2048)).to_bytes()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError, match="budget of 4194304 pixels"):
+                decompress_image(trained, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_pixel_budget_boundary(self, trained):
+        bits = Bitstream.from_bytes(compress_image(trained, make_image(60, 64, 64), 0))
+        bits.height, bits.width = 2048, MAX_PIXELS // 2048  # at the budget
+        with pytest.raises(BitstreamError, match="expected 128x128"):
+            decompress_image(trained, bits.to_bytes())
+        bits.width += 1
+        with pytest.raises(BitstreamError, match="budget"):
+            decompress_image(trained, bits.to_bytes())
+        # what the decoder refuses, the encoder does not write
+        image = np.broadcast_to(np.float32(0.5), (2048, MAX_PIXELS // 2048 + 1, 3))
+        with pytest.raises(ContractViolation, match="budget"):
+            compress_image(trained, image, 0)
 
     def test_file_round_trip(self, trained, tmp_path):
         img = make_image(57, 80, 64)

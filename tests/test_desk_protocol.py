@@ -1,0 +1,49 @@
+"""The byte-identity gate for desk checkpoints: ``desk_protocol.py compare``."""
+
+import subprocess
+import sys
+
+import desk_protocol
+
+
+def test_compare_reports_every_mismatch_and_missing_file(tmp_path, monkeypatch):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    for name, old_bytes, new_bytes in (("same.ckpt", b"abc", b"abc"),
+                                       ("changed.ckpt", b"abc", b"abd"),
+                                       ("gone.ckpt", b"abc", None),
+                                       ("extra.ckpt", None, b"abc")):
+        if old_bytes is not None:
+            (old / name).write_bytes(old_bytes)
+        if new_bytes is not None:
+            (new / name).write_bytes(new_bytes)
+    monkeypatch.setattr(desk_protocol, "ARTIFACTS", tmp_path)
+    monkeypatch.setattr(desk_protocol, "cache_dir", lambda: new)
+    lines = []
+    assert desk_protocol.compare("old", log=lines.append) == 3
+    assert lines == ["differs: changed.ckpt",
+                     "missing: extra.ckpt not in old/",
+                     "missing: gone.ckpt not in new/",
+                     "1 of 4 checkpoints in new/ byte-identical to old/"]
+    (new / "changed.ckpt").write_bytes(b"abc")
+    (new / "gone.ckpt").write_bytes(b"abc")
+    (new / "extra.ckpt").unlink()
+    assert desk_protocol.compare("old", log=lines.append) == 0
+
+
+def test_compare_command_exits_nonzero_on_a_missing_digest():
+    proc = subprocess.run(
+        [sys.executable, str(desk_protocol.TESTS_DIR / "desk_protocol.py"), "compare",
+         "0000000000000000"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "not in 0000000000000000/" in proc.stdout or "no checkpoints" in proc.stdout
+
+
+def test_compare_fails_when_there_is_nothing_to_compare(tmp_path, monkeypatch):
+    (tmp_path / "old").mkdir()
+    monkeypatch.setattr(desk_protocol, "ARTIFACTS", tmp_path)
+    monkeypatch.setattr(desk_protocol, "cache_dir", lambda: tmp_path / "new")
+    lines = []
+    assert desk_protocol.compare("old", log=lines.append) == 1
+    assert lines == ["no checkpoints in old/ or new/"]

@@ -1,12 +1,15 @@
 """Tensor engine contracts: forward semantics against brute-force oracles,
 adjointness, and analytic gradients against central finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from maecodec import tensor as T
 from maecodec.exceptions import ContractViolation, NumericDomainError
 
+import reference_conv
 from conftest import inner, tensor64
 
 
@@ -103,6 +106,93 @@ class TestConvTranspose:
         k = T.Tensor(rng.normal(size=(1, 1, 3, 3)))
         with pytest.raises(ContractViolation):
             T.conv2d_transpose(x, k, 2, 1, output_padding=2)
+
+
+def _network_stage_cases():
+    # (direction, batch, C_in, C_out, H, W, K, stride, pad, output_padding)
+    # for the analysis stages and their transposed synthesis stages at the
+    # desk and benchmark shapes; batch 1 and 8 at 96^2 and 48^2 reach both
+    # the small-product and the blocked GEMM path
+    cases = []
+    for n, side in ((1, 96), (2, 96), (8, 48), (1, 93)):
+        h, w = side, side + 6 * (side % 2)  # the odd image is 93 x 99
+        cases += [("conv", n, 3, 32, h, w, 9, 4, 4, None),
+                  ("conv", n, 32, 32, -(-h // 4), -(-w // 4), 5, 2, 2, None),
+                  ("conv", n, 32, 32, -(-h // 8), -(-w // 8), 5, 2, 2, None),
+                  ("convT", n, 32, 32, -(-h // 16), -(-w // 16), 5, 2, 2, 1),
+                  ("convT", n, 32, 32, -(-h // 8), -(-w // 8), 5, 2, 2, 1),
+                  ("convT", n, 32, 3, -(-h // 4), -(-w // 4), 9, 4, 4, 3)]
+    return cases
+
+
+CONV_CASES = _network_stage_cases() + [
+    # odd sides, both directions
+    ("conv", 2, 3, 32, 37, 45, 9, 4, 4, None),
+    ("conv", 1, 32, 32, 11, 13, 5, 2, 2, None),
+    ("conv", 1, 32, 3, 13, 11, 5, 2, 2, None),
+    ("convT", 2, 32, 32, 5, 7, 5, 2, 2, 1),
+    # stride 1 with padding 0, and 1x1 kernels as in GDN
+    ("conv", 2, 4, 5, 7, 9, 3, 1, 0, None),
+    ("convT", 2, 4, 5, 7, 9, 3, 1, 0, 0),
+    ("conv", 1, 32, 32, 1, 2, 1, 1, 0, None),
+    ("conv", 1, 32, 32, 6, 7, 1, 1, 0, None),
+    ("conv", 2, 32, 32, 12, 12, 1, 1, 0, None),
+    ("conv", 1, 16, 16, 7, 7, 1, 2, 0, None),
+    ("convT", 1, 32, 32, 6, 7, 1, 1, 0, 0),
+    # every output_padding in [0, stride)
+    ("convT", 2, 32, 32, 5, 6, 5, 2, 2, 0),
+    ("convT", 1, 32, 32, 5, 6, 5, 2, 2, 1),
+    ("convT", 2, 32, 3, 5, 6, 9, 4, 4, 0),
+    ("convT", 2, 32, 3, 5, 6, 9, 4, 4, 1),
+    ("convT", 1, 32, 3, 5, 6, 9, 4, 4, 2),
+    ("convT", 1, 32, 3, 5, 6, 9, 4, 4, 3),
+    # the paper's 192 channels, latent 1^2, 8^2 and 16^2
+    ("conv", 1, 192, 192, 2, 2, 5, 2, 2, None),
+    ("conv", 1, 192, 192, 16, 16, 5, 2, 2, None),
+    ("convT", 1, 192, 192, 1, 1, 5, 2, 2, 1),
+    ("convT", 1, 192, 192, 8, 8, 5, 2, 2, 1),
+    ("convT", 2, 192, 192, 16, 16, 5, 2, 2, 1),
+]
+
+
+def _conv_and_grads(module, case, dtype):
+    kind, n, ci, co, h, w, k, stride, pad, out_pad = case
+    rng = np.random.default_rng(zlib.crc32(repr(case).encode()))
+    x = rng.standard_normal((n, ci, h, w)).astype(dtype)
+    kshape = (co, ci, k, k) if kind == "conv" else (ci, co, k, k)
+    kernel = (0.1 * rng.standard_normal(kshape)).astype(dtype)
+    xt, kt = T.Tensor(x, requires_grad=True), T.Tensor(kernel, requires_grad=True)
+    with T.GradientTape() as tape:
+        if kind == "conv":
+            y = module.conv2d(xt, kt, stride, pad)
+        else:
+            y = module.conv2d_transpose(xt, kt, stride, pad, output_padding=out_pad)
+        weights = np.random.default_rng(7).standard_normal(y.shape).astype(dtype)
+        loss = T.reduce_sum(T.mul(y, T.Tensor(weights)))
+    grads = tape.backward(loss)
+    return y.data, grads[xt], grads[kt]
+
+
+class TestConvAgainstReference:
+    """The im2col/col2im convolutions against the sliding-window ones in
+    tests/reference_conv.py: the same float32 bits for the output, the
+    input gradient and the kernel gradient."""
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_float32_bit_identical(self, case):
+        got = _conv_and_grads(T, case, np.float32)
+        ref = _conv_and_grads(reference_conv, case, np.float32)
+        for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
+            assert a.dtype == b.dtype == np.float32 and a.flags.c_contiguous, name
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_float64_matches(self, case):
+        got = _conv_and_grads(T, case, np.float64)
+        ref = _conv_and_grads(reference_conv, case, np.float64)
+        for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
+                                       err_msg=name)
 
 
 class TestAffine:

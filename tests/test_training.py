@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from maecodec import tensor as T
+from maecodec.codec import method_name
 from maecodec.entropy import FactorizedDensity
 from maecodec.exceptions import CheckpointError, ContractViolation, DatasetError
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
@@ -242,7 +243,7 @@ class TestTrainLoop:
                 self.rows.append(values)
 
         images = make_corpus(2, 32, 32)
-        cfg = tiny_config(mode={"plain": "independent"}.get(mode, mode), lambda_index=0)
+        cfg = tiny_config(mode=method_name(mode), lambda_index=0)
         model = tiny_model(mode, seed=4, dtype=np.float64)
         params = list(model.parameters().values())
         rec = Recorder()
