@@ -18,14 +18,13 @@ from .entropy import (CdfTable, FactorizedDensity, add_uniform_noise, bin_probab
 from .exceptions import (BitstreamError, CheckpointError, CodingError,
                          ContractViolation, DatasetError, MaecodecError,
                          ModelHashMismatch, NumericDomainError, SupportRangeError)
-from .gdn import GdnParams, gdn_forward, igdn_forward, init_gdn
+from .gdn import gdn_forward, igdn_forward
 from .metrics import ms_ssim, ms_ssim_db, psnr
-from .network import (CodecConfig, CodecModel, TradeoffSet,
-                      bottleneck_scale_apply, bottleneck_scale_invert, param_count)
+from .network import CodecConfig, CodecModel, TradeoffSet, param_count
 from .rangecoder import Bitstream, RangeDecoder, RangeEncoder, pack, rc_decode, rc_encode, unpack
 from .tensor import GradientTape, Tensor, grad_check
 from .training import (Adam, Checkpoint, TrainingConfig, load_dataset,
                        load_training_config, model_from_checkpoint, next_batch,
-                       rd_loss, rd_terms, sample_tradeoff, snapshot, train)
+                       rd_terms, sample_tradeoff, snapshot, train)
 
 __version__ = "0.1.0"

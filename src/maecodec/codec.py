@@ -20,8 +20,7 @@ from .entropy import build_cdf_tables, choose_support, quantize
 from .exceptions import BitstreamError, ContractViolation, ModelHashMismatch
 from .image_io import read_image, write_image, write_pgm
 from .metrics import ms_ssim, ms_ssim_db, psnr
-from .network import (DOWNSAMPLE, bottleneck_scale_apply,
-                      bottleneck_scale_invert)
+from .network import DOWNSAMPLE
 from .rangecoder import Bitstream, pack, unpack
 from .training import NETWORK_MODES, Checkpoint, model_from_checkpoint
 
@@ -69,15 +68,10 @@ class LoadedCodec:
             self._tables = build_cdf_tables(density)
         return self._tables
 
-    def latent(self, image_hwc, lam, grad=False):
+    def latent(self, image_hwc, lam):
         """Bottleneck feature right before quantization, as an ndarray."""
-        lam = float(lam)
-        lam_hat = self.tradeoffs.normalized(lam)
         x = T.Tensor(_pad_to_multiple(image_hwc).transpose(2, 0, 1)[None].astype(self.model.dtype))
-        z = self.model.encode(x, lam_hat if self.model.mode == "mae" else None)
-        if self.model.mode == "bottleneck":
-            z = bottleneck_scale_apply(z, self.model.scale_vector(lam))
-        return z.data[0]
+        return self.model.encode(x, lam).data[0]
 
 
 def _pad_to_multiple(image_hwc, multiple=DOWNSAMPLE):
@@ -129,12 +123,8 @@ def decompress_image(codec, data):
             f"latent {bits.latent_height}x{bits.latent_width} does not fit a "
             f"{bits.height}x{bits.width} image, expected {latent_size[0]}x{latent_size[1]}")
     q, meta = unpack(bits, codec.tables())
-    lam = codec.tradeoffs.lambdas[meta["lambda_index"]]
-    lam_hat = codec.tradeoffs.normalized(lam)
     z = T.Tensor(q[None].astype(codec.model.dtype))
-    if codec.model.mode == "bottleneck":
-        z = bottleneck_scale_invert(z, codec.model.scale_vector(lam))
-    x_hat = codec.model.decode(z, lam_hat if codec.model.mode == "mae" else None, clamp=True)
+    x_hat = codec.model.decode(z, codec.tradeoffs.lambdas[meta["lambda_index"]], clamp=True)
     full = x_hat.data[0].transpose(1, 2, 0)
     return np.ascontiguousarray(full[: meta["height"], : meta["width"]]).astype(np.float32)
 

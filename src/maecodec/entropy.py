@@ -43,24 +43,20 @@ def add_uniform_noise(z, rng):
 
 
 class FactorizedDensity:
-    """Learned per-channel density over (noisy) quantized latent values."""
+    """Learned per-channel density over (noisy) quantized latent values.
 
-    def __init__(self, matrices, biases, gates, support=DEFAULT_SUPPORT):
-        self.matrices = list(matrices)
-        self.biases = list(biases)
-        self.gates = list(gates)
+    Reads its tensors ``density.matrix{i}``, ``density.bias{i}`` and
+    ``density.gate{i}`` by name from ``params``, which may be a whole
+    codec model's parameter store.
+    """
+
+    def __init__(self, params, support=DEFAULT_SUPPORT):
+        self.params = params
         self.support = int(support)
-        self.channels = self.matrices[0].shape[0]
+        self.channels = params["density.matrix0"].shape[0]
 
     def parameters(self):
-        named = {}
-        for i, m in enumerate(self.matrices):
-            named[f"density.matrix{i}"] = m
-        for i, b in enumerate(self.biases):
-            named[f"density.bias{i}"] = b
-        for i, g in enumerate(self.gates):
-            named[f"density.gate{i}"] = g
-        return named
+        return {name: t for name, t in self.params.items() if name.startswith("density.")}
 
     def cumulative(self, t):
         """Monotone cumulative c(t) for t of shape (C, 1, M), in (0, 1)."""
@@ -68,12 +64,13 @@ class FactorizedDensity:
             raise ContractViolation(
                 f"cumulative expects ({self.channels}, 1, M), got {t.shape}"
             )
+        p = self.params
         h = t
-        last = len(self.matrices) - 1
-        for i, (m, b) in enumerate(zip(self.matrices, self.biases)):
-            h = T.channel_bias(T.channel_matmul(T.softplus(m), h), b)
-            if i < last:
-                h = T.tanh_coupling(h, self.gates[i])
+        for i in range(len(_FILTERS) + 1):
+            h = T.channel_bias(T.channel_matmul(T.softplus(p[f"density.matrix{i}"]), h),
+                               p[f"density.bias{i}"])
+            if i < len(_FILTERS):
+                h = T.tanh_coupling(h, p[f"density.gate{i}"])
         return T.sigmoid(h)
 
 
@@ -83,20 +80,20 @@ def init_density(channels, dtype=np.float32, rng=None, support=DEFAULT_SUPPORT):
         rng = np.random.default_rng(0)
     dims = (1,) + _FILTERS + (1,)
     scale = _INIT_SCALE ** (1.0 / (len(_FILTERS) + 1))
-    matrices, biases, gates = [], [], []
+    matrices, biases, gates = {}, {}, {}
     for i in range(len(dims) - 1):
         init = np.log(np.expm1(1.0 / scale / dims[i + 1]))
-        matrices.append(T.Tensor(
+        matrices[f"density.matrix{i}"] = T.Tensor(
             np.full((channels, dims[i + 1], dims[i]), init, dtype=dtype),
-            requires_grad=True))
-        biases.append(T.Tensor(
+            requires_grad=True)
+        biases[f"density.bias{i}"] = T.Tensor(
             rng.uniform(-0.5, 0.5, size=(channels, dims[i + 1], 1)).astype(dtype),
-            requires_grad=True))
+            requires_grad=True)
         if i < len(dims) - 2:
-            gates.append(T.Tensor(
+            gates[f"density.gate{i}"] = T.Tensor(
                 np.zeros((channels, dims[i + 1], 1), dtype=dtype),
-                requires_grad=True))
-    return FactorizedDensity(matrices, biases, gates, support=support)
+                requires_grad=True)
+    return FactorizedDensity({**matrices, **biases, **gates}, support=support)
 
 
 def _channel_major(values):

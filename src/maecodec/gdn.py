@@ -3,11 +3,12 @@
 GDN divides each channel by a learned norm pooled across channels at the
 same spatial site; IGDN multiplies by it.  The decoder's IGDN learns its
 own parameters, it is not an analytic inverse of the encoder's GDN.
+
+The parameters are a per-channel offset ``beta`` (kept >= BETA_FLOOR)
+and a nonnegative channel-coupling matrix ``gamma`` of shape (C, C).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import tensor as T
 from .exceptions import ContractViolation
@@ -15,54 +16,25 @@ from .exceptions import ContractViolation
 BETA_FLOOR = 1e-6
 
 
-class GdnParams:
-    """Per-channel offset ``beta`` (>= BETA_FLOOR) and nonnegative
-    channel-coupling matrix ``gamma`` of shape (C, C)."""
-
-    def __init__(self, beta: T.Tensor, gamma: T.Tensor):
-        if beta.ndim != 1 or gamma.shape != (beta.shape[0], beta.shape[0]):
-            raise ContractViolation(
-                f"GdnParams needs beta (C,) and gamma (C, C), got {beta.shape} and {gamma.shape}"
-            )
-        self.beta = beta
-        self.gamma = gamma
-
-    @property
-    def channels(self):
-        return self.beta.shape[0]
-
-    def project(self):
-        """Clamp parameters back into their feasible set, in place.
-
-        Called after every optimizer step; keeps min(beta) >= BETA_FLOOR
-        and min(gamma) >= 0.
-        """
-        np.maximum(self.beta.data, BETA_FLOOR, out=self.beta.data)
-        np.maximum(self.gamma.data, 0.0, out=self.gamma.data)
-
-
-def init_gdn(channels, dtype=np.float32):
-    """Near-identity start: beta = 1, gamma = 0.1 * I."""
-    beta = T.Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-    gamma = T.Tensor((0.1 * np.eye(channels)).astype(dtype), requires_grad=True)
-    return GdnParams(beta, gamma)
-
-
-def _pooled_norm(x, p):
-    if x.ndim != 4 or x.shape[1] != p.channels:
+def _pooled_norm(x, beta, gamma):
+    channels = beta.shape[0]
+    if beta.ndim != 1 or gamma.shape != (channels, channels):
         raise ContractViolation(
-            f"GDN channel mismatch: input {x.shape} vs {p.channels} parameter channels"
+            f"GDN needs beta (C,) and gamma (C, C), got {beta.shape} and {gamma.shape}")
+    if x.ndim != 4 or x.shape[1] != channels:
+        raise ContractViolation(
+            f"GDN channel mismatch: input {x.shape} vs {channels} parameter channels"
         )
     energy = T.square(x)
-    mixed = T.conv2d(energy, T.reshape(p.gamma, (p.channels, p.channels, 1, 1)))
-    return T.sqrt(T.channel_shift(mixed, p.beta))
+    mixed = T.conv2d(energy, T.reshape(gamma, (channels, channels, 1, 1)))
+    return T.sqrt(T.channel_shift(mixed, beta))
 
 
-def gdn_forward(x, p):
+def gdn_forward(x, beta, gamma):
     """y_i = x_i / sqrt(beta_i + sum_j gamma_ij * x_j^2), per spatial site."""
-    return T.div(x, _pooled_norm(x, p))
+    return T.div(x, _pooled_norm(x, beta, gamma))
 
 
-def igdn_forward(x, p):
+def igdn_forward(x, beta, gamma):
     """y_i = x_i * sqrt(beta_i + sum_j gamma_ij * x_j^2), per spatial site."""
-    return T.mul(x, _pooled_norm(x, p))
+    return T.mul(x, _pooled_norm(x, beta, gamma))

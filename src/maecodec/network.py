@@ -22,14 +22,20 @@ import numpy as np
 from . import tensor as T
 from .entropy import FactorizedDensity, init_density
 from .exceptions import ContractViolation
-from .gdn import GdnParams, gdn_forward, igdn_forward, init_gdn
+from .gdn import BETA_FLOOR, gdn_forward, igdn_forward
 
 MODES = ("mae", "plain", "bottleneck")
 
-# (kernel, stride, padding) per encoder stage; decoder mirrors in reverse
+# (kernel, stride, padding) per encoder stage; the decoder mirrors them
 ENCODER_STAGES = ((9, 4, 4), (5, 2, 2), (5, 2, 2))
+DECODER_STAGES = ENCODER_STAGES[::-1]
 DOWNSAMPLE = 16
 IMAGE_CHANNELS = 3
+
+# name prefixes of the tradeoff-specific parameters (modulation networks,
+# bottleneck scale vectors); every other parameter serves all tradeoffs
+TRADEOFF_PARAMS = ("modulate", "demodulate", "scale.")
+SCALE_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,19 @@ class TradeoffSet:
 
 
 class ModulationNet:
-    """1 -> hidden -> C perceptron; exp output keeps every entry positive."""
+    """1 -> hidden -> C perceptron; exp output keeps every entry positive.
 
-    def __init__(self, w1, b1, w2, b2):
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+    Its tensors ``w1``, ``b1``, ``w2``, ``b2`` are looked up under
+    ``prefix`` in ``params`` (the model's parameter store) at every use.
+    """
+
+    def __init__(self, params, prefix):
+        self.params, self.prefix = params, prefix
+
+    w1 = property(lambda self: self.params[self.prefix + "w1"])
+    b1 = property(lambda self: self.params[self.prefix + "b1"])
+    w2 = property(lambda self: self.params[self.prefix + "w2"])
+    b2 = property(lambda self: self.params[self.prefix + "b2"])
 
     @property
     def out_channels(self):
@@ -95,42 +110,18 @@ class ModulationNet:
         return T.reshape(T.exp(T.affine(h, self.w2, self.b2)), (self.out_channels,))
 
 
-def _init_modulation_net(rng, hidden, out_channels, dtype):
-    # small, nonzero second layer: starts close to exp(0) = 1 while keeping
-    # ReLU units alive so gradients reach the first layer
-    w1 = T.Tensor(rng.normal(0.0, 0.5, size=(1, hidden)).astype(dtype), requires_grad=True)
-    b1 = T.Tensor(np.full(hidden, 0.1, dtype=dtype), requires_grad=True)
-    w2 = T.Tensor(rng.normal(0.0, 0.01, size=(hidden, out_channels)).astype(dtype), requires_grad=True)
-    b2 = T.Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-    return ModulationNet(w1, b1, w2, b2)
-
-
-class ConvLayer:
-    def __init__(self, kernel, bias, stride, padding):
-        self.kernel, self.bias = kernel, bias
-        self.stride, self.padding = stride, padding
-
-    def __call__(self, x):
-        return T.channel_shift(
-            T.conv2d(x, self.kernel, self.stride, self.padding), self.bias)
-
-
-class ConvTransposeLayer:
-    def __init__(self, kernel, bias, stride, padding):
-        self.kernel, self.bias = kernel, bias
-        self.stride, self.padding = stride, padding
-
-    def __call__(self, x):
-        return T.channel_shift(
-            T.conv2d_transpose(x, self.kernel, self.stride, self.padding), self.bias)
-
-
 class CodecModel:
-    """Parameter container plus the forward maps for one trained codec.
+    """The parameters and forward maps of one trained codec.
 
     ``mode`` selects the variant: "mae" carries modulation networks,
     "bottleneck" carries per-tradeoff scaling vectors, "plain" is the
     bare autoencoder used for independently trained operating points.
+    ``encode`` and ``decode`` take a tradeoff from the model's set and
+    apply the mode's conditioning themselves.
+
+    Every learnable tensor lives in one name -> Tensor dict, under its
+    checkpoint name; the forward maps, the density and the modulation
+    networks read their tensors from it by name.
     """
 
     def __init__(self, config, tradeoffs, mode, dtype=np.float32, seed=0):
@@ -142,125 +133,92 @@ class CodecModel:
         self.dtype = np.dtype(dtype).type
         rng = np.random.default_rng([int(seed), 0x6D6165])
 
+        # created in the order of their random draws
         c = config.channels
-        self.enc_convs = []
+        p = self._params = {}
         in_ch = IMAGE_CHANNELS
-        for k, stride, pad in ENCODER_STAGES:
-            self.enc_convs.append(ConvLayer(
-                self._conv_kernel(rng, c, in_ch, k), self._bias(c), stride, pad))
+        for i, (k, _, _) in enumerate(ENCODER_STAGES):
+            std = (1.0 / (in_ch * k * k)) ** 0.5
+            p[f"encoder.conv{i}.kernel"] = self._new(rng.normal(0.0, std, size=(c, in_ch, k, k)))
+            p[f"encoder.conv{i}.bias"] = self._new(np.zeros(c))
             in_ch = c
-        self.enc_gdn = [init_gdn(c, self.dtype) for _ in ENCODER_STAGES]
+        for i in range(len(ENCODER_STAGES)):
+            self._new_gdn(f"encoder.gdn{i}", c)
+        for i, (k, stride, _) in enumerate(DECODER_STAGES):
+            out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
+            std = (stride * stride / (c * k * k)) ** 0.5
+            p[f"decoder.tconv{i}.kernel"] = self._new(rng.normal(0.0, std, size=(c, out_ch, k, k)))
+            p[f"decoder.tconv{i}.bias"] = self._new(np.zeros(out_ch))
+        for i in range(len(DECODER_STAGES) - 1):
+            self._new_gdn(f"decoder.igdn{i}", c)
 
-        self.dec_convs = []
-        stages = list(reversed(ENCODER_STAGES))
-        for i, (k, stride, pad) in enumerate(stages):
-            out_ch = IMAGE_CHANNELS if i == len(stages) - 1 else c
-            self.dec_convs.append(ConvTransposeLayer(
-                self._tconv_kernel(rng, c, out_ch, k, stride), self._bias(out_ch),
-                stride, pad))
-        self.dec_igdn = [init_gdn(c, self.dtype) for _ in range(len(stages) - 1)]
+        density = init_density(c, dtype=self.dtype,
+                               rng=np.random.default_rng([int(seed), 0x64656E]))
+        p.update(density.params)
+        self.density = FactorizedDensity(p)
 
-        self.density = init_density(c, dtype=self.dtype,
-                                    rng=np.random.default_rng([int(seed), 0x64656E]))
-
-        self.mod_nets = []
-        self.demod_nets = []
+        self.mod_nets, self.demod_nets = [], []
         if mode == "mae":
-            for _ in ENCODER_STAGES:
-                self.mod_nets.append(_init_modulation_net(rng, config.mod_hidden, c, self.dtype))
-            for _ in range(3):
-                self.demod_nets.append(_init_modulation_net(rng, config.mod_hidden, c, self.dtype))
+            # small, nonzero second layer: starts close to exp(0) = 1 while
+            # keeping ReLU units alive so gradients reach the first layer
+            hidden = config.mod_hidden
+            for label, nets in (("modulate", self.mod_nets), ("demodulate", self.demod_nets)):
+                for i in range(3):
+                    prefix = f"{label}{i}."
+                    p[prefix + "w1"] = self._new(rng.normal(0.0, 0.5, size=(1, hidden)))
+                    p[prefix + "b1"] = self._new(np.full(hidden, 0.1))
+                    p[prefix + "w2"] = self._new(rng.normal(0.0, 0.01, size=(hidden, c)))
+                    p[prefix + "b2"] = self._new(np.zeros(c))
+                    nets.append(ModulationNet(p, prefix))
 
-        self.scale_table = {}
         if mode == "bottleneck":
             for lam in tradeoffs:
-                self.scale_table[lam] = T.Tensor(
-                    np.ones(c, dtype=self.dtype), requires_grad=True)
+                p[f"scale.{lam:g}"] = self._new(np.ones(c))
 
-    def _conv_kernel(self, rng, out_ch, in_ch, k):
-        std = (1.0 / (in_ch * k * k)) ** 0.5
-        return T.Tensor(rng.normal(0.0, std, size=(out_ch, in_ch, k, k)).astype(self.dtype),
-                        requires_grad=True)
+    def _new(self, values):
+        return T.Tensor(values.astype(self.dtype), requires_grad=True)
 
-    def _tconv_kernel(self, rng, in_ch, out_ch, k, stride):
-        std = (stride * stride / (in_ch * k * k)) ** 0.5
-        return T.Tensor(rng.normal(0.0, std, size=(in_ch, out_ch, k, k)).astype(self.dtype),
-                        requires_grad=True)
+    def _new_gdn(self, name, channels):
+        # near-identity start: beta = 1, gamma = 0.1 * I
+        self._params[f"{name}.beta"] = self._new(np.ones(channels))
+        self._params[f"{name}.gamma"] = self._new(0.1 * np.eye(channels))
 
-    def _bias(self, n):
-        return T.Tensor(np.zeros(n, dtype=self.dtype), requires_grad=True)
-
-    # -- parameter bookkeeping ------------------------------------------------
-
-    def _slots(self):
-        """(name, holder, attr_or_key) for every learnable block; the holder
-        is an object with the attribute, or a (list/dict, index) pair."""
-        slots = []
-        for i, layer in enumerate(self.enc_convs):
-            slots.append((f"encoder.conv{i}.kernel", layer, "kernel"))
-            slots.append((f"encoder.conv{i}.bias", layer, "bias"))
-        for i, p in enumerate(self.enc_gdn):
-            slots.append((f"encoder.gdn{i}.beta", p, "beta"))
-            slots.append((f"encoder.gdn{i}.gamma", p, "gamma"))
-        for i, layer in enumerate(self.dec_convs):
-            slots.append((f"decoder.tconv{i}.kernel", layer, "kernel"))
-            slots.append((f"decoder.tconv{i}.bias", layer, "bias"))
-        for i, p in enumerate(self.dec_igdn):
-            slots.append((f"decoder.igdn{i}.beta", p, "beta"))
-            slots.append((f"decoder.igdn{i}.gamma", p, "gamma"))
-        for i, m in enumerate(self.density.matrices):
-            slots.append((f"density.matrix{i}", self.density.matrices, i))
-        for i, b in enumerate(self.density.biases):
-            slots.append((f"density.bias{i}", self.density.biases, i))
-        for i, g in enumerate(self.density.gates):
-            slots.append((f"density.gate{i}", self.density.gates, i))
-        for label, nets in (("modulate", self.mod_nets), ("demodulate", self.demod_nets)):
-            for i, net in enumerate(nets):
-                for part in ("w1", "b1", "w2", "b2"):
-                    slots.append((f"{label}{i}.{part}", net, part))
-        for lam in self.scale_table:
-            slots.append((f"scale.{lam:g}", self.scale_table, lam))
-        return slots
-
-    @staticmethod
-    def _get_slot(holder, key):
-        if isinstance(holder, (list, dict)):
-            return holder[key]
-        return getattr(holder, key)
-
-    @staticmethod
-    def _set_slot(holder, key, tensor):
-        if isinstance(holder, (list, dict)):
-            holder[key] = tensor
-        else:
-            setattr(holder, key, tensor)
+    # -- parameters -------------------------------------------------------------
 
     def parameters(self):
-        """Ordered name -> Tensor map covering every learnable block."""
-        return {name: self._get_slot(holder, key) for name, holder, key in self._slots()}
+        """The name -> Tensor store of every learnable block, in creation
+        order; the model reads its tensors from this very dict."""
+        return self._params
 
     def adopt_parameters(self, named):
-        """Rebind parameter slots to the given Tensor objects.
+        """Replace stored tensors by the given Tensor objects.
 
         Gradient checks and model surgery need the supplied tensors to be
         the actual graph inputs, not copies of their values.
         """
-        slots = {name: (holder, key) for name, holder, key in self._slots()}
-        unknown = set(named) - set(slots)
+        unknown = set(named) - set(self._params)
         if unknown:
             raise ContractViolation(f"unknown parameter names: {sorted(unknown)}")
         for name, tensor in named.items():
-            holder, key = slots[name]
-            current = self._get_slot(holder, key)
+            current = self._params[name]
             if tuple(current.shape) != tuple(tensor.shape):
                 raise ContractViolation(
                     f"parameter {name!r} has shape {tuple(current.shape)}, "
                     f"got {tuple(tensor.shape)}"
                 )
-            self._set_slot(holder, key, tensor)
+        self._params.update(named)
 
-    def gdn_blocks(self):
-        return list(self.enc_gdn) + list(self.dec_igdn)
+    def project(self):
+        """Clamp parameters back into their feasible sets, in place: GDN
+        offsets to >= BETA_FLOOR, GDN couplings and scale vectors to their
+        floors.  Called after every optimizer step."""
+        for name, t in self._params.items():
+            if name.endswith(".beta"):
+                np.maximum(t.data, BETA_FLOOR, out=t.data)
+            elif name.endswith(".gamma"):
+                np.maximum(t.data, 0.0, out=t.data)
+            elif name.startswith("scale."):
+                np.maximum(t.data, SCALE_FLOOR, out=t.data)
 
     # -- forward maps ----------------------------------------------------------
 
@@ -272,78 +230,77 @@ class CodecModel:
         """Decoder-side vectors; parameters are independent of the encoder's."""
         return [net(lambda_hat) for net in self.demod_nets]
 
-    def encode(self, x, lambda_hat=None):
-        """Image batch (N, 3, H, W) in [0, 1] -> latent (N, C, H/16, W/16).
+    def encode(self, x, lam):
+        """Image batch (N, 3, H, W) in [0, 1] -> latent (N, C, H/16, W/16)
+        at tradeoff ``lam``, a member of the model's set.
 
-        Spatial sides must be multiples of 16 (the caller pads).
+        Spatial sides must be multiples of 16 (the caller pads).  In mode
+        "mae" the stages are modulated by the normalized tradeoff; in mode
+        "bottleneck" the latent is scaled by the tradeoff's vector.
         """
+        lambda_hat = self.tradeoffs.normalized(lam)
         if x.ndim != 4 or x.shape[1] != IMAGE_CHANNELS:
             raise ContractViolation(f"encode expects (N, 3, H, W), got {x.shape}")
         if x.shape[2] % DOWNSAMPLE or x.shape[3] % DOWNSAMPLE:
             raise ContractViolation(
                 f"spatial sides must be multiples of {DOWNSAMPLE}, got {x.shape[2]}x{x.shape[3]}"
             )
-        if self.mod_nets and lambda_hat is None:
-            raise ContractViolation("modulated encoder needs a normalized tradeoff")
-        mods = self.modulation_vectors(lambda_hat) if self.mod_nets else None
+        mods = self.modulation_vectors(lambda_hat) if self.mode == "mae" else None
+        p = self._params
         h = x
-        for i, (conv, gdn) in enumerate(zip(self.enc_convs, self.enc_gdn)):
-            h = conv(h)
+        for i, (_, stride, pad) in enumerate(ENCODER_STAGES):
+            h = T.channel_shift(T.conv2d(h, p[f"encoder.conv{i}.kernel"], stride, pad),
+                                p[f"encoder.conv{i}.bias"])
             if mods is not None:
                 h = T.channel_scale(h, mods[i])
-            h = gdn_forward(h, gdn)
+            h = gdn_forward(h, p[f"encoder.gdn{i}.beta"], p[f"encoder.gdn{i}.gamma"])
+        if self.mode == "bottleneck":
+            # finer effective quantization bins for larger s
+            h = T.channel_scale(h, self._scale(lam))
         return h
 
-    def decode(self, z, lambda_hat=None, clamp=False):
-        """Latent (N, C, h, w) -> image batch (N, 3, 16h, 16w).
+    def decode(self, z, lam, clamp=False):
+        """Latent (N, C, h, w) -> image batch (N, 3, 16h, 16w) at tradeoff
+        ``lam``, a member of the model's set.
 
-        ``clamp`` clips to [0, 1] for inference; the training path leaves
-        the output unclamped so gradients flow.
+        Mode "bottleneck" first undoes the scaling with the elementwise
+        reciprocal 1 / s; mode "mae" demodulates.  ``clamp`` clips to
+        [0, 1] for inference; the training path leaves the output
+        unclamped so gradients flow.
         """
+        lambda_hat = self.tradeoffs.normalized(lam)
         if z.ndim != 4 or z.shape[1] != self.config.channels:
             raise ContractViolation(
                 f"decode expects (N, {self.config.channels}, h, w), got {z.shape}"
             )
-        if self.demod_nets and lambda_hat is None:
-            raise ContractViolation("modulated decoder needs a normalized tradeoff")
-        demods = self.demodulation_vectors(lambda_hat) if self.demod_nets else None
         h = z
-        if demods is not None:
+        if self.mode == "bottleneck":
+            s_vec = self._scale(lam)
+            h = T.channel_scale(h, T.div(T.Tensor(np.ones_like(s_vec.data)), s_vec))
+        demods = None
+        if self.mode == "mae":
+            demods = self.demodulation_vectors(lambda_hat)
             h = T.channel_scale(h, demods[0])
-        for i, conv in enumerate(self.dec_convs):
-            h = conv(h)
-            last = i == len(self.dec_convs) - 1
-            if not last:
+        p = self._params
+        for i, (_, stride, pad) in enumerate(DECODER_STAGES):
+            h = T.channel_shift(
+                T.conv2d_transpose(h, p[f"decoder.tconv{i}.kernel"], stride, pad),
+                p[f"decoder.tconv{i}.bias"])
+            if i < len(DECODER_STAGES) - 1:
                 if demods is not None:
                     h = T.channel_scale(h, demods[i + 1])
-                h = igdn_forward(h, self.dec_igdn[i])
+                h = igdn_forward(h, p[f"decoder.igdn{i}.beta"], p[f"decoder.igdn{i}.gamma"])
         if clamp:
             h = T.Tensor(np.clip(h.data, 0.0, 1.0))
         return h
 
-    def scale_vector(self, lam):
-        if self.mode != "bottleneck":
-            raise ContractViolation("scaling vectors only exist in bottleneck mode")
-        return self.scale_table[float(lam)]
-
-
-def bottleneck_scale_apply(z, s_vec):
-    """z * s per channel; finer effective quantization bins for larger s."""
-    _check_scale(s_vec)
-    return T.channel_scale(z, s_vec)
-
-
-def bottleneck_scale_invert(z_hat, s_vec):
-    """Undo the scaling with the elementwise reciprocal 1 / s."""
-    _check_scale(s_vec)
-    ones = T.Tensor(np.ones_like(s_vec.data))
-    return T.channel_scale(z_hat, T.div(ones, s_vec))
-
-
-def _check_scale(s_vec):
-    if np.any(s_vec.data <= 0):
-        idx = int(np.argwhere(s_vec.data <= 0)[0][0])
-        raise ContractViolation(f"scaling vector must be strictly positive; entry {idx} is not")
+    def _scale(self, lam):
+        """The tradeoff's bottleneck scale vector, checked strictly positive."""
+        s_vec = self._params[f"scale.{float(lam):g}"]
+        if np.any(s_vec.data <= 0):
+            idx = int(np.argwhere(s_vec.data <= 0)[0][0])
+            raise ContractViolation(f"scaling vector must be strictly positive; entry {idx} is not")
+        return s_vec
 
 
 def param_count(model_or_config, tradeoffs=None):
@@ -356,11 +313,9 @@ def param_count(model_or_config, tradeoffs=None):
     """
     if isinstance(model_or_config, CodecModel):
         named = model_or_config.parameters()
-        shared = sum(t.size for n, t in named.items()
-                     if not n.startswith(("modulate", "demodulate", "scale.")))
-        modulation = sum(t.size for n, t in named.items()
-                         if n.startswith(("modulate", "demodulate")))
+        shared = sum(t.size for n, t in named.items() if not n.startswith(TRADEOFF_PARAMS))
         scaling = sum(t.size for n, t in named.items() if n.startswith("scale."))
+        modulation = sum(t.size for t in named.values()) - shared - scaling
         n_tradeoffs = len(model_or_config.tradeoffs)
     else:
         config = model_or_config
@@ -372,11 +327,10 @@ def param_count(model_or_config, tradeoffs=None):
             shared += c * in_ch * k * k + c        # conv kernel + bias
             shared += c + c * c                    # GDN beta + gamma
             in_ch = c
-        stages = list(reversed(ENCODER_STAGES))
-        for i, (k, _, _) in enumerate(stages):
-            out_ch = IMAGE_CHANNELS if i == len(stages) - 1 else c
+        for i, (k, _, _) in enumerate(DECODER_STAGES):
+            out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
             shared += c * out_ch * k * k + out_ch  # tconv kernel + bias
-            if i < len(stages) - 1:
+            if i < len(DECODER_STAGES) - 1:
                 shared += c + c * c                # IGDN beta + gamma
         per_channel = (3 * 1 + 3 * 3 + 3 * 3 + 1 * 3) + (3 + 3 + 3 + 1) + (3 + 3 + 3)
         shared += per_channel * c                  # factorized density

@@ -20,8 +20,7 @@ import numpy as np
 from . import tensor as T
 from .entropy import add_uniform_noise, rate_bits
 from .exceptions import CheckpointError, ContractViolation, DatasetError
-from .network import (CodecConfig, CodecModel, TradeoffSet,
-                      bottleneck_scale_apply, bottleneck_scale_invert)
+from .network import TRADEOFF_PARAMS, CodecConfig, CodecModel, TradeoffSet
 
 _CKPT_MAGIC = b"MAEC"
 _CKPT_VERSION = 1
@@ -59,12 +58,15 @@ class TrainingConfig:
             raise ContractViolation("learning rates must be positive")
         if self.halve_at > self.total_iters:
             raise ContractViolation("halving point must not exceed total iterations")
-        if self.batch_size < 1 or self.total_iters < 0:
-            raise ContractViolation("batch size must be >= 1 and iterations >= 0")
+        if self.batch_size < 1 or self.total_iters < 0 or self.phase2_iters < 0:
+            raise ContractViolation("batch size must be >= 1 and iteration counts >= 0")
         if self.mode not in ("mae", "independent", "bottleneck"):
             raise ContractViolation(f"unknown training mode {self.mode!r}")
         if self.mode == "independent" and self.lambda_index is None:
             raise ContractViolation("independent mode needs lambda_index")
+        if self.lambda_index is not None and not 0 <= self.lambda_index < len(self.lambdas):
+            raise ContractViolation(
+                f"lambda_index {self.lambda_index} out of range for {len(self.lambdas)} tradeoffs")
 
     @property
     def tradeoffs(self):
@@ -120,7 +122,7 @@ def sample_tradeoff(tradeoffs, rng):
 
 
 def rd_terms(x, lam, model, noise_rng=None, noise=None):
-    """Loss pieces for one batch at one tradeoff.
+    """Loss pieces for one batch at one tradeoff of the model's set.
 
     Returns (loss, rate_bpp, mse) as Tensors, with
     loss = bits/pixel + lam * mean squared error on [0, 1] pixels.
@@ -128,23 +130,14 @@ def rd_terms(x, lam, model, noise_rng=None, noise=None):
     need a deterministic program).
     """
     lam = float(lam)
-    if lam not in model.tradeoffs.lambdas:
-        raise ContractViolation(f"tradeoff {lam} is not in {model.tradeoffs.lambdas}")
-    lam_hat = model.tradeoffs.normalized(lam)
     num_pixels = x.shape[0] * x.shape[2] * x.shape[3]
-
-    z = model.encode(x, lam_hat if model.mode == "mae" else None)
-    if model.mode == "bottleneck":
-        z = bottleneck_scale_apply(z, model.scale_vector(lam))
+    z = model.encode(x, lam)
     if noise is None:
         z_tilde = add_uniform_noise(z, noise_rng)
     else:
         z_tilde = T.add(z, noise)
     bpp = T.div(rate_bits(z_tilde, model.density), float(num_pixels))
-    z_dec = z_tilde
-    if model.mode == "bottleneck":
-        z_dec = bottleneck_scale_invert(z_tilde, model.scale_vector(lam))
-    x_hat = model.decode(z_dec, lam_hat if model.mode == "mae" else None)
+    x_hat = model.decode(z_tilde, lam)
     mse = T.reduce_mean(T.square(T.sub(x, x_hat)))
     loss = T.add(bpp, T.mul(mse, lam))
     return loss, bpp, mse
@@ -169,11 +162,6 @@ def tradeoff_weight(model, lam):
     if model.mode != "mae":
         return 1.0
     return model.tradeoffs.lambdas[-1] / float(lam)
-
-
-def rd_loss(x, lam, model, noise_rng=None, noise=None):
-    """Scalar training objective; see rd_terms."""
-    return rd_terms(x, lam, model, noise_rng=noise_rng, noise=noise)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +311,32 @@ class Checkpoint:
                 f"checkpoint header must be an object with keys {', '.join(_CKPT_KEYS)}")
         offset = 9 + head_len
         params = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            end = offset + 4 * count
-            if end > len(data):
-                raise CheckpointError(f"checkpoint truncated inside block {name!r}")
-            params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
-            offset = end
+        try:
+            for name, shape in header["params"]:
+                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+                end = offset + 4 * count
+                if end > len(data):
+                    raise CheckpointError(f"checkpoint truncated inside block {name!r}")
+                params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
+                offset = end
+            lambda_index = header.get("lambda_index")
+            ckpt = cls(
+                config=CodecConfig(channels=header["channels"], mod_hidden=header["mod_hidden"]),
+                mode=header["mode"],
+                lambdas=tuple(header["lambdas"]),
+                iteration=int(header["iteration"]),
+                params=params,
+                lambda_index=None if lambda_index is None else int(lambda_index),
+                version=version,
+            )
+        except CheckpointError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # fields of the wrong type or shape (ContractViolation included)
+            raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
         if offset != len(data):
             raise CheckpointError("checkpoint has trailing bytes")
-        lambda_index = header.get("lambda_index")
-        return cls(
-            config=CodecConfig(channels=header["channels"], mod_hidden=header["mod_hidden"]),
-            mode=header["mode"],
-            lambdas=tuple(header["lambdas"]),
-            iteration=int(header["iteration"]),
-            params=params,
-            lambda_index=None if lambda_index is None else int(lambda_index),
-            version=version,
-        )
+        return ckpt
 
     def save(self, path):
         Path(path).write_bytes(self.to_bytes())
@@ -395,13 +390,6 @@ def _iteration_rng(seed, phase, iteration):
     return np.random.default_rng([int(seed), int(phase), int(iteration)])
 
 
-def _project(model):
-    for block in model.gdn_blocks():
-        block.project()
-    for vec in model.scale_table.values():
-        np.maximum(vec.data, 1e-4, out=vec.data)
-
-
 def _abort_if_nonfinite(loss, bpp, mse, iteration, lam):
     if not np.isfinite(loss):
         raise ArithmeticError(
@@ -450,7 +438,7 @@ def _train_steps(model, optimizer, params, config, images, *, phase, iterations,
                     grads[p] = grads[p] / weight
         lr = config.learning_rate(base_lr, start_count + it)
         optimizer.step(grads, lr)
-        _project(model)
+        model.project()
         loss_v, bpp_v, mse_v = loss.item(), bpp.item(), mse.item()
         _abort_if_nonfinite(loss_v, bpp_v, mse_v, start_count + it, lam)
         log.row(start_count + it, lam, bpp_v, mse_v, loss_v, lr)
@@ -495,8 +483,7 @@ def train(config, dataset, log_path=None):
     # scale vectors and modulation networks are variable-rate state: the
     # top-tradeoff phase trains the shared autoencoder alone, leaving every
     # scale vector at 1 and every modulation network at its initialization
-    phase1_names = {n for n in model.parameters()
-                    if not n.startswith(("scale.", "modulate", "demodulate"))}
+    phase1_names = {n for n in model.parameters() if not n.startswith(TRADEOFF_PARAMS)}
     optimizer, params = adam_for_model(model, trainable=phase1_names,
                                        lr_entropy_scale=lr_ratio)
 

@@ -96,24 +96,32 @@ def job_config(method, lambda_index, seed):
         snapshot_iters=SNAPSHOT_ITERS)
 
 
+def job_tag(method, lambda_index, seed):
+    return f"{method}{'' if lambda_index is None else lambda_index}_seed{seed}"
+
+
 def job_paths(method, lambda_index, seed):
-    tag = method if lambda_index is None else f"{method}{lambda_index}"
-    base = cache_dir() / f"{tag}_seed{seed}"
-    return {it: base.with_name(base.name + f"_it{it}.ckpt")
-            for it in SNAPSHOT_ITERS + (TOTAL_ITERS,)}
+    tag = job_tag(method, lambda_index, seed)
+    return {it: cache_dir() / f"{tag}_it{it}.ckpt" for it in SNAPSHOT_ITERS + (TOTAL_ITERS,)}
 
 
 def run_job(method, lambda_index, seed):
-    """Train one (method, seed) pair and write its checkpoints."""
+    """Train one (method, seed) pair and write its checkpoints, printing a
+    line when it starts and one per checkpoint saved."""
     from maecodec.training import train
 
     paths = job_paths(method, lambda_index, seed)
     if all(p.exists() for p in paths.values()):
         return
+    tag = job_tag(method, lambda_index, seed)
+    start = time.perf_counter()
+    print(f"[{tag}] training in {cache_dir().name}/", flush=True)
     cache_dir().mkdir(parents=True, exist_ok=True)
     series = train(job_config(method, lambda_index, seed), training_images())
     for iteration, ckpt in series:
         ckpt.save(paths[iteration])
+        print(f"[{tag}] saved iteration {iteration} ({paths[iteration].name}) "
+              f"at {time.perf_counter() - start:.1f} s", flush=True)
 
 
 def ensure_trained(max_workers=2, log=print):
@@ -139,7 +147,7 @@ def ensure_trained(max_workers=2, log=print):
 
     def launch(job):
         method, lam_idx, seed = job
-        tag = f"{method}{'' if lam_idx is None else lam_idx}_seed{seed}"
+        tag = job_tag(method, lam_idx, seed)
         cmd = [sys.executable, str(TESTS_DIR / "desk_protocol.py"),
                method, "none" if lam_idx is None else str(lam_idx), str(seed)]
         log(f"[desk] training {tag} ...")

@@ -64,19 +64,17 @@ def test_criterion_1_parameter_counts():
 # -- 2 ----------------------------------------------------------------------
 
 
-def _per_op_grad_checks(seed):
-    """Every differentiable primitive at eps=1e-4, double precision."""
-    from test_tensor import TestGradCheck
-
-    TestGradCheck().test_every_primitive(seed)
+# Each seed runs once per suite: test_tensor.py's test_every_primitive
+# checks every differentiable primitive at seeds 0-19, and test_training.py's
+# test_full_loss_grad_check the full objective at seeds 0-2.
+FULL_OBJECTIVE_SEEDS = range(3, 20)
 
 
 def test_criterion_2_gradient_suite():
-    for seed in range(20):
-        _per_op_grad_checks(seed)
-    worst = max(full_loss_grad_error(seed) for seed in range(20))
+    worst = max(full_loss_grad_error(seed) for seed in FULL_OBJECTIVE_SEEDS)
     report("2 gradient suite", worst < 1e-4,
-           f"20 seeds per primitive and full objective; worst rd_loss error {worst:.2e}")
+           f"full objective, seeds 3-19 (primitives 0-19 and seeds 0-2 run in the "
+           f"unit tests); worst error {worst:.2e}")
 
 
 # -- 3 ----------------------------------------------------------------------
@@ -287,9 +285,9 @@ def test_criterion_7_identity_reductions(tmp_path):
         net.w2.data[:] = 0.0
         net.b2.data[:] = 0.0
     x = T.Tensor(rng.random((1, 3, 48, 48)).astype(np.float32))
-    z_mae, z_plain = mae.encode(x, 1.0), plain.encode(x)
+    z_mae, z_plain = mae.encode(x, 4096.0), plain.encode(x, 4096.0)
     forward_identical = np.array_equal(z_mae.data, z_plain.data) and np.array_equal(
-        mae.decode(z_mae, 1.0).data, plain.decode(z_plain).data)
+        mae.decode(z_mae, 4096.0).data, plain.decode(z_plain, 4096.0).data)
 
     cfg = TrainingConfig(mode="mae", channels=16, mod_hidden=10, crop_size=32,
                          batch_size=2, total_iters=0, halve_at=0, phase2_iters=0,

@@ -32,8 +32,8 @@ def trained():
 @pytest.fixture(scope="module")
 def untrained_bottleneck():
     model = CodecModel(CodecConfig(channels=16, mod_hidden=10), TR3, "bottleneck", seed=0)
-    model.scale_table[64.0].data[:] = 0.25
-    model.scale_table[512.0].data[:] = 0.5
+    model.parameters()["scale.64"].data[:] = 0.25
+    model.parameters()["scale.512"].data[:] = 0.5
     return LoadedCodec(snapshot(model, 0))
 
 

@@ -1,5 +1,6 @@
 """Codec network: shapes, modulation positivity and smoothness, identity
-reductions, bottleneck scaling, and parameter accounting."""
+reductions, bottleneck scaling, the parameter store, and parameter
+accounting."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ import pytest
 from maecodec import tensor as T
 from maecodec.entropy import quantize, rate_bits
 from maecodec.exceptions import ContractViolation
-from maecodec.network import (CodecConfig, CodecModel, TradeoffSet,
-                              bottleneck_scale_apply, bottleneck_scale_invert,
-                              param_count)
+from maecodec.network import CodecConfig, CodecModel, TradeoffSet, param_count
 
 DESK = CodecConfig(channels=16, mod_hidden=20)
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
@@ -98,27 +97,28 @@ class TestEncodeDecodeShapes:
     def test_latent_shape(self, rng):
         m = desk_model()
         x = T.Tensor(rng.random((1, 3, 64, 64)).astype(np.float32))
-        z = m.encode(x, 1.0)
+        z = m.encode(x, 4096.0)
         assert z.shape == (1, DESK.channels, 4, 4)
-        assert m.decode(z, 1.0).shape == (1, 3, 64, 64)
+        assert m.decode(z, 4096.0).shape == (1, 3, 64, 64)
 
     @pytest.mark.parametrize("side", [16, 32, 48, 80, 128, 256])
     def test_shape_round_trip(self, rng, side):
         m = desk_model()
         x = T.Tensor(rng.random((1, 3, side, side)).astype(np.float32))
-        out = m.decode(m.encode(x, 0.5), 0.5)
+        out = m.decode(m.encode(x, 512.0), 512.0)
         assert out.shape == x.shape
 
     def test_side_not_multiple_of_16_rejected(self, rng):
         m = desk_model()
         with pytest.raises(ContractViolation):
-            m.encode(T.Tensor(rng.random((1, 3, 40, 48)).astype(np.float32)), 0.5)
+            m.encode(T.Tensor(rng.random((1, 3, 40, 48)).astype(np.float32)), 512.0)
 
     def test_training_path_output_not_clamped(self, rng):
         m = desk_model()
         x = T.Tensor((rng.random((1, 3, 32, 32)) * 4 - 2).astype(np.float32))
-        raw = m.decode(m.encode(T.Tensor(np.clip(x.data, 0, 1)), 1.0), 1.0)
-        clamped = m.decode(m.encode(T.Tensor(np.clip(x.data, 0, 1)), 1.0), 1.0, clamp=True)
+        raw = m.decode(m.encode(T.Tensor(np.clip(x.data, 0, 1)), 4096.0), 4096.0)
+        clamped = m.decode(m.encode(T.Tensor(np.clip(x.data, 0, 1)), 4096.0), 4096.0,
+                           clamp=True)
         assert raw.data.min() < 0 or raw.data.max() > 1  # untrained decoder strays
         assert clamped.data.min() >= 0 and clamped.data.max() <= 1
 
@@ -132,46 +132,88 @@ class TestIdentityReduction:
             net.w2.data[:] = 0.0
             net.b2.data[:] = 0.0
         x = T.Tensor(rng.random((1, 3, 48, 48)).astype(np.float32))
-        z_mae = mae.encode(x, 1.0)
-        z_plain = plain.encode(x)
+        z_mae = mae.encode(x, 4096.0)
+        z_plain = plain.encode(x, 4096.0)
         np.testing.assert_array_equal(z_mae.data, z_plain.data)
-        np.testing.assert_array_equal(mae.decode(z_mae, 1.0).data,
-                                      plain.decode(z_plain).data)
+        np.testing.assert_array_equal(mae.decode(z_mae, 4096.0).data,
+                                      plain.decode(z_plain, 4096.0).data)
+
+
+def bottleneck_and_plain(seed=0, channels=4):
+    """A float64 bottleneck model and the plain model with its weights
+    (same seed and draw order; scale vectors take no draws)."""
+    config = CodecConfig(channels=channels, mod_hidden=2)
+    return (CodecModel(config, TR3, "bottleneck", seed=seed, dtype=np.float64),
+            CodecModel(config, TR3, "plain", seed=seed, dtype=np.float64))
 
 
 class TestBottleneckScaling:
     def test_identity_scale(self, rng):
-        z = T.Tensor(rng.normal(size=(1, 4, 3, 3)))
-        s = T.Tensor(np.ones(4))
-        np.testing.assert_array_equal(bottleneck_scale_apply(z, s).data, z.data)
-        np.testing.assert_array_equal(bottleneck_scale_invert(z, s).data, z.data)
+        bn, plain = bottleneck_and_plain()
+        x = T.Tensor(rng.random((1, 3, 32, 32)))
+        for lam in TR3:  # every scale vector starts at 1
+            z = bn.encode(x, lam)
+            np.testing.assert_array_equal(z.data, plain.encode(x, lam).data)
+            np.testing.assert_array_equal(bn.decode(z, lam).data, plain.decode(z, lam).data)
 
     def test_invert_reverses_apply(self, rng):
-        z = T.Tensor(rng.normal(size=(2, 4, 3, 3)))
-        s = T.Tensor(rng.uniform(0.5, 3.0, size=4))
-        back = bottleneck_scale_invert(bottleneck_scale_apply(z, s), s)
-        np.testing.assert_allclose(back.data, z.data, rtol=1e-6)
+        bn, plain = bottleneck_and_plain()
+        s = bn.parameters()["scale.64"].data
+        s[:] = rng.uniform(0.5, 3.0, size=4)
+        x = T.Tensor(rng.random((2, 3, 32, 32)))
+        z = plain.encode(x, 64.0)
+        z_scaled = bn.encode(x, 64.0)
+        np.testing.assert_allclose(z_scaled.data, z.data * s[:, None, None], rtol=1e-12)
+        np.testing.assert_allclose(bn.decode(z_scaled, 64.0).data, plain.decode(z, 64.0).data,
+                                   rtol=1e-10, atol=1e-12)
 
     def test_nonpositive_scale_rejected(self, rng):
-        z = T.Tensor(rng.normal(size=(1, 3, 2, 2)))
+        bn, _ = bottleneck_and_plain(channels=3)
+        bn.parameters()["scale.512"].data[:] = [1.0, 0.0, 2.0]
         with pytest.raises(ContractViolation, match="entry 1"):
-            bottleneck_scale_apply(z, T.Tensor(np.array([1.0, 0.0, 2.0])))
+            bn.encode(T.Tensor(rng.random((1, 3, 16, 16))), 512.0)
+        with pytest.raises(ContractViolation, match="entry 1"):
+            bn.decode(T.Tensor(rng.normal(size=(1, 3, 1, 1))), 512.0)
 
-    def test_larger_scale_never_cheaper(self, rng):
+    def test_larger_scale_never_cheaper(self):
         # finer effective bins: doubling s cannot reduce the coded rate
-        from maecodec.entropy import init_density
-
-        density = init_density(4, dtype=np.float64, rng=np.random.default_rng(8))
+        bn, _ = bottleneck_and_plain()
+        named = bn.parameters()
         for seed in range(5):
             r = np.random.default_rng(seed)
-            z = T.Tensor(r.normal(size=(1, 4, 6, 6)) * 2)
-            s0 = T.Tensor(r.uniform(0.3, 1.0, size=4))
-            s1 = T.Tensor(s0.data * 2.0)
-            q0 = quantize(bottleneck_scale_apply(z, s0))
-            q1 = quantize(bottleneck_scale_apply(z, s1))
-            bits0 = rate_bits(T.Tensor(q0.astype(np.float64)), density).item()
-            bits1 = rate_bits(T.Tensor(q1.astype(np.float64)), density).item()
+            x = T.Tensor(r.random((1, 3, 96, 96)))
+            named["scale.64"].data[:] = r.uniform(2.0, 8.0, size=4)
+            named["scale.512"].data[:] = 2.0 * named["scale.64"].data
+            bits0, bits1 = (
+                rate_bits(T.Tensor(quantize(bn.encode(x, lam)).astype(np.float64)),
+                          bn.density).item()
+                for lam in (64.0, 512.0))
             assert bits1 >= bits0 - 1e-9
+
+
+class TestParameterStore:
+    @pytest.mark.parametrize("mode", ["mae", "plain", "bottleneck"])
+    def test_tradeoff_outside_the_set_rejected(self, rng, mode):
+        m = desk_model(mode)
+        x = T.Tensor(rng.random((1, 3, 16, 16)).astype(np.float32))
+        with pytest.raises(ContractViolation, match="not in"):
+            m.encode(x, 1.0)
+        with pytest.raises(ContractViolation, match="not in"):
+            m.decode(m.encode(x, 64.0), 100.0)
+
+    def test_adopted_tensors_are_what_the_model_reads(self, rng):
+        m = desk_model()
+        named = m.parameters()
+        assert m.parameters() is named
+        w1 = T.Tensor(rng.normal(size=named["modulate0.w1"].shape).astype(np.float32))
+        bias = T.Tensor(np.zeros(named["density.bias0"].shape, dtype=np.float32))
+        m.adopt_parameters({"modulate0.w1": w1, "density.bias0": bias})
+        assert named["modulate0.w1"] is w1 and m.mod_nets[0].w1 is w1
+        assert m.density.parameters()["density.bias0"] is bias
+        with pytest.raises(ContractViolation, match="unknown"):
+            m.adopt_parameters({"scale.64": w1})
+        with pytest.raises(ContractViolation, match="shape"):
+            m.adopt_parameters({"modulate0.b1": w1})
 
 
 class TestParamCount:

@@ -146,15 +146,15 @@ class TestAdam:
 
     def test_projection_after_step(self):
         model = tiny_model()
-        gdn = model.enc_gdn[0]
-        from maecodec.training import adam_for_model, _project
+        beta = model.parameters()["encoder.gdn0.beta"]
+        from maecodec.training import adam_for_model
 
         opt, params = adam_for_model(model)
         grads = {p: np.zeros_like(p.data) for p in params}
-        grads[gdn.beta] = np.full_like(gdn.beta.data, 1e9)  # huge push downward
+        grads[beta] = np.full_like(beta.data, 1e9)  # huge push downward
         opt.step(grads, lr=1.0)
-        _project(model)
-        assert gdn.beta.data.min() >= 1e-6
+        model.project()
+        assert beta.data.min() >= 1e-6
 
     def test_entropy_params_use_scaled_rate(self):
         model = tiny_model()
@@ -306,7 +306,7 @@ class TestCheckpoint:
     def test_hash_changes_with_params(self):
         model = tiny_model(seed=2)
         c1 = snapshot(model, 0)
-        model.enc_convs[0].kernel.data[0, 0, 0, 0] += 1.0
+        model.parameters()["encoder.conv0.kernel"].data[0, 0, 0, 0] += 1.0
         c2 = snapshot(model, 0)
         assert c1.model_hash != c2.model_hash
 
@@ -339,6 +339,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="keys"):
             Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
                                   + data[9 + head_len:])
+
+    def test_header_fields_of_wrong_type_rejected(self):
+        data = snapshot(tiny_model(), 0).to_bytes()
+        head_len = struct.unpack(">I", data[5:9])[0]
+        for field, value in (("params", 5),         # not a list of blocks
+                             ("params", [["a"]]),   # a block without a shape
+                             ("channels", "x"), ("iteration", "z")):
+            header = json.loads(data[9 : 9 + head_len])
+            header[field] = value
+            head = json.dumps(header).encode()
+            with pytest.raises(CheckpointError, match="malformed"):
+                Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
+                                      + data[9 + head_len:])
 
     def test_lambda_index_preserved(self):
         model = tiny_model("plain")
@@ -412,3 +425,15 @@ class TestConfigFile:
             tiny_config(total_iters=5, halve_at=9)
         with pytest.raises(ContractViolation):
             tiny_config(mode="independent")  # missing lambda_index
+
+    def test_lambda_index_outside_the_set_rejected(self):
+        # 3 used to fail later with an IndexError in train(); -1 trained at
+        # the top tradeoff and wrote an index compress_image refuses
+        for index in (3, -1):
+            with pytest.raises(ContractViolation, match="lambda_index"):
+                tiny_config(mode="independent", lambda_index=index)
+
+    def test_negative_phase2_iters_rejected(self):
+        # used to label the final mae checkpoint with a negative iteration
+        with pytest.raises(ContractViolation, match="iteration counts"):
+            tiny_config(phase2_iters=-2)
