@@ -1,6 +1,8 @@
 """Range coder: lossless round trips, length bounds, cross-check against an
 exact big-integer arithmetic coder, and the bitstream container layout."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,33 @@ class TestAgainstExactCoder:
             ce = table.bits_for(np.array(syms))
             assert abs(k - ce) <= 16
             assert abs(len(payload) * 8 - ce) <= 64
+
+
+class TestGoldenBytes:
+    """Exact output bytes, so a coder rewrite cannot silently change the format."""
+
+    def test_multi_table_stream_bytes(self):
+        # 5 channel runs of 400 symbols; the stream propagates 191 carries
+        # and holds back a pending 0xFF byte 3 times
+        r = np.random.default_rng(7)
+        tables = [random_table(r, k) for k in (2, 5, 17, 64, 300)]
+        syms = np.concatenate([r.integers(0, t.num_symbols, size=400) for t in tables])
+        payload = rc_encode(syms, [t for t in tables for _ in range(400)])
+        assert len(payload) == 1169
+        assert hashlib.sha256(payload).hexdigest() == \
+            "ce7479e6463fc71e9384dfda7fcf93037c6642c44774d2536c02ff5afaf41335"
+
+    def test_pack_bytes(self):
+        r = np.random.default_rng(8)
+        tables = [CdfTable(random_table(r, 2 * l + 1).cum, offset=l) for l in (1, 4, 9, 30)]
+        q = np.stack([r.integers(-t.offset, t.offset + 1, size=(6, 7))
+                      for t in tables]).astype(np.int32)
+        meta = {"width": 100, "height": 90, "lambda_index": 2,
+                "model_hash": 0x0F1E2D3C4B5A6978}
+        data = pack(q, meta, tables).to_bytes()
+        assert len(data) == 118
+        assert hashlib.sha256(data).hexdigest() == \
+            "3ee1ddb0725744006254da69a2a79c7dd4d5584497840ae09b11a6db5d1303e4"
 
 
 class TestBitstream:
