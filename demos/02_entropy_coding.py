@@ -42,10 +42,9 @@ print(f"\nsupport chosen: [-{density.support}, {density.support}], "
 # quantize a fresh sample and code it for real
 z = rng.normal(size=(CHANNELS, 24, 24)) * spreads[0]
 q = quantize(z)
-symbols = (q + density.support).ravel()
-refs = [tables[c] for c in range(CHANNELS) for _ in range(24 * 24)]
-payload = rc_encode(symbols, refs)
-decoded = rc_decode(payload, refs, len(symbols)).reshape(q.shape) - density.support
+symbols = (q + density.support).ravel()  # channel-major: one run per channel table
+payload = rc_encode(symbols, tables)
+decoded = rc_decode(payload, tables, len(symbols)).reshape(q.shape) - density.support
 assert np.array_equal(decoded, q), "range coder must be lossless"
 
 estimate = rate_bits(T.Tensor(q[None].astype(np.float64)), density).item()

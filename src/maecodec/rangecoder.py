@@ -5,7 +5,8 @@ emitting bytes through a carry-aware cache.  Overhead over the table
 cross-entropy is one leading byte plus a five-byte flush, comfortably
 inside the 64-bit bound the tests enforce.  Encoder and decoder consume
 exactly the same number of bytes, so payloads are self-delimiting given
-the symbol count.
+the symbol count.  A stream is one equal-length run of symbols per CDF
+table, in order; a latent is coded as one run per channel.
 """
 
 from __future__ import annotations
@@ -28,130 +29,95 @@ HEADER_FMT = ">4sBBHHBHHHQI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)  # 29 bytes
 
 
-class RangeEncoder:
-    """Single-use streaming encoder over [cum_lo, cum_hi) / total slices."""
-
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK32
-        self.cache = 0
-        self.cache_size = 1  # accounts for the leading byte
-        self.out = bytearray()
-        self._done = False
-
-    def encode(self, cum_lo, cum_hi, total):
-        if self._done:
-            raise CodingError("encoder already flushed")
-        r = self.range // total
-        self.low += cum_lo * r
-        self.range = (cum_hi - cum_lo) * r
-        while self.range < _TOP:
-            self._shift_low()
-            self.range = (self.range << 8) & _MASK32
-
-    def _shift_low(self):
-        low32 = self.low & _MASK32
-        carry = self.low >> 32
-        if low32 < 0xFF000000 or carry:
-            self.out.append((self.cache + carry) & 0xFF)
-            self.out.extend(((0xFF + carry) & 0xFF,) * (self.cache_size - 1))
-            self.cache_size = 0
-            self.cache = (low32 >> 24) & 0xFF
-        self.cache_size += 1
-        self.low = (low32 & 0x00FFFFFF) << 8
-
-    def finish(self):
-        if not self._done:
-            for _ in range(5):
-                self._shift_low()
-            self._done = True
-        return bytes(self.out)
+def _run_length(count, tables):
+    """Symbols per table when ``count`` symbols split into one run per table."""
+    if count == 0:
+        return 0
+    if tables and count > 0 and count % len(tables) == 0:
+        return count // len(tables)
+    raise ContractViolation(
+        f"{count} symbols do not split into {len(tables)} equal table runs")
 
 
-class RangeDecoder:
-    """Single-use streaming decoder; mirrors RangeEncoder byte for byte."""
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-        self.range = _MASK32
-        self.code = 0
-        for _ in range(5):
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-
-    def _next_byte(self):
-        if self.pos >= len(self.data):
-            raise CodingError(
-                f"truncated payload: needed byte {self.pos}, have {len(self.data)}"
-            )
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def decode(self, cum, total):
-        """Return the index s with cum[s] <= scaled code < cum[s+1]."""
-        r = self.range // total
-        val = self.code // r
-        if val >= total:
-            val = total - 1
-        s = bisect_right(cum, val) - 1
-        self.code -= cum[s] * r
-        self.range = (cum[s + 1] - cum[s]) * r
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._next_byte()) & _MASK32
-            self.range = (self.range << 8) & _MASK32
-        return s
+def _shift_low(low, cache, cache_size, out):
+    """Emit the settled top byte of ``low``; a byte that may still take a
+    carry waits in ``cache`` (followed by ``cache_size - 1`` 0xFF bytes)."""
+    low32 = low & _MASK32
+    carry = low >> 32
+    if low32 < 0xFF000000 or carry:
+        out.append((cache + carry) & 0xFF)
+        out.extend(((0xFF + carry) & 0xFF,) * (cache_size - 1))
+        cache_size = 0
+        cache = low32 >> 24
+    return (low32 & 0x00FFFFFF) << 8, cache, cache_size + 1
 
 
 def rc_encode(symbols, tables):
-    """Range-code a symbol sequence against per-symbol CdfTables.
+    """Range-code ``symbols`` as ``len(tables)`` equal runs, in order, run c
+    against ``tables[c]`` (the channel-major layout of a latent).
 
-    ``tables`` gives the table for each position (one table may be reused
-    for a run of symbols).  Symbols are nonnegative table indices.
+    Symbols are nonnegative table indices.
     """
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    if len(tables) != len(symbols):
-        raise ContractViolation(
-            f"need one table per symbol: {len(symbols)} symbols, {len(tables)} tables"
-        )
-    enc = RangeEncoder()
-    last_table = None
-    cum = None
-    for i, (s, table) in enumerate(zip(symbols.tolist(), tables)):
-        if table is not last_table:
-            cum = table.cum.tolist()
-            last_table = table
-        if not 0 <= s < len(cum) - 1:
-            raise CodingError(
-                f"symbol {s} at position {i} is outside table range [0, {len(cum) - 2}]"
-            )
-        enc.encode(cum[s], cum[s + 1], TOTAL_FREQ)
-    return enc.finish()
+    run = _run_length(len(symbols), tables)
+    low, rng, cache, cache_size = 0, _MASK32, 0, 1  # cache holds the leading byte
+    out = bytearray()
+    for c, table in enumerate(tables):
+        chunk = symbols[c * run:(c + 1) * run]
+        bad = np.flatnonzero((chunk < 0) | (chunk >= table.num_symbols))
+        if bad.size:
+            i = c * run + int(bad[0])
+            raise CodingError(f"symbol {symbols[i]} at position {i} is outside "
+                              f"table range [0, {table.num_symbols - 1}]")
+        cum = table.cum.tolist()
+        for s in chunk.tolist():
+            r = rng // TOTAL_FREQ
+            low += cum[s] * r
+            rng = (cum[s + 1] - cum[s]) * r
+            while rng < _TOP:
+                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+                rng = (rng << 8) & _MASK32
+    for _ in range(5):
+        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    return bytes(out)
 
 
 def rc_decode(data, tables, count):
-    """Recover exactly ``count`` symbols; raises CodingError on truncation
-    or when the payload does not end where the symbols do."""
-    if count != len(tables):
-        raise ContractViolation(
-            f"need one table per symbol: count {count}, {len(tables)} tables"
-        )
-    dec = RangeDecoder(data)
-    out = np.empty(count, dtype=np.int64)
-    last_table = None
-    cum = None
-    for i in range(count):
-        table = tables[i]
-        if table is not last_table:
-            cum = table.cum.tolist()
-            last_table = table
-        out[i] = dec.decode(cum, TOTAL_FREQ)
+    """Recover exactly ``count`` symbols coded by ``rc_encode`` with the same
+    tables; raises CodingError on truncation or when the payload does not
+    end where the symbols do."""
+    run = _run_length(count, tables)
+    size = len(data)
+    if size < 5:
+        raise CodingError(f"truncated payload: needed byte {size}, have {size}")
+    code = int.from_bytes(data[:5], "big") & _MASK32
+    pos = 5
+    rng = _MASK32
+    out = np.empty((len(tables), run), dtype=np.int64)
+    for c, table in enumerate(tables):
+        cum = table.cum.tolist()
+        decoded = []
+        for _ in range(run):
+            r = rng // TOTAL_FREQ
+            val = code // r
+            if val >= TOTAL_FREQ:
+                val = TOTAL_FREQ - 1
+            s = bisect_right(cum, val) - 1
+            code -= cum[s] * r
+            rng = (cum[s + 1] - cum[s]) * r
+            while rng < _TOP:
+                if pos >= size:
+                    raise CodingError(f"truncated payload: needed byte {pos}, have {size}")
+                code = ((code << 8) | data[pos]) & _MASK32
+                pos += 1
+                rng = (rng << 8) & _MASK32
+            decoded.append(s)
+        out[c] = decoded
     # encoder and decoder move the same number of bytes, so a clean payload
     # ends exactly where its last symbol does
-    if dec.pos != len(data):
-        raise CodingError(
-            f"decoding {count} symbols consumed {dec.pos} of {len(data)} payload bytes")
-    return out
+    if pos != size:
+        raise CodingError(f"decoding {count} symbols consumed {pos} of {size} payload bytes")
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +173,6 @@ class Bitstream:
                    version=version, flags=flags)
 
 
-def _per_symbol_tables(tables, latent_h, latent_w):
-    per_channel = latent_h * latent_w
-    refs = []
-    for table in tables:
-        refs.extend((table,) * per_channel)
-    return refs
-
-
 def pack(q, meta, tables):
     """Serialize a quantized latent (C, h, w) into a Bitstream.
 
@@ -230,7 +188,7 @@ def pack(q, meta, tables):
         raise ContractViolation(f"latent has {c} channels but {len(tables)} tables given")
     offsets = np.array([t.offset for t in tables], dtype=np.int64).reshape(c, 1, 1)
     symbols = (q.astype(np.int64) + offsets).ravel()
-    payload = rc_encode(symbols, _per_symbol_tables(tables, lh, lw))
+    payload = rc_encode(symbols, tables)
     return Bitstream(
         width=int(meta["width"]), height=int(meta["height"]),
         lambda_index=int(meta["lambda_index"]), channels=c,
@@ -250,7 +208,7 @@ def unpack(bits, tables):
     c, lh, lw = bits.channels, bits.latent_height, bits.latent_width
     if len(tables) != c:
         raise ContractViolation(f"bitstream has {c} channels but {len(tables)} tables given")
-    symbols = rc_decode(bits.payload, _per_symbol_tables(tables, lh, lw), c * lh * lw)
+    symbols = rc_decode(bits.payload, tables, c * lh * lw)
     offsets = np.array([t.offset for t in tables], dtype=np.int64).reshape(c, 1, 1)
     q = symbols.reshape(c, lh, lw) - offsets
     meta = {

@@ -34,9 +34,9 @@ class TestRoundTrip:
         cum = np.arange(257, dtype=np.int64) * 256
         table = CdfTable(cum, offset=128)
         syms = rng.integers(0, 256, size=4096)
-        payload = rc_encode(syms, [table] * 4096)
+        payload = rc_encode(syms, [table])
         assert 4096 <= len(payload) <= 4104
-        np.testing.assert_array_equal(rc_decode(payload, [table] * 4096, 4096), syms)
+        np.testing.assert_array_equal(rc_decode(payload, [table], 4096), syms)
 
     def test_near_deterministic_stream(self):
         freqs = np.ones(256, dtype=np.int64)
@@ -45,10 +45,10 @@ class TestRoundTrip:
         np.cumsum(freqs, out=cum[1:])
         table = CdfTable(cum, offset=0)
         syms = np.zeros(10000, dtype=np.int64)
-        payload = rc_encode(syms, [table] * 10000)
+        payload = rc_encode(syms, [table])
         # < 0.01 bits/symbol plus flush overhead
         assert len(payload) * 8 <= 0.01 * 10000 + 64
-        np.testing.assert_array_equal(rc_decode(payload, [table] * 10000, 10000), syms)
+        np.testing.assert_array_equal(rc_decode(payload, [table], 10000), syms)
 
     @pytest.mark.parametrize("block", range(10))
     def test_many_random_round_trips(self, block):
@@ -58,21 +58,17 @@ class TestRoundTrip:
             table = random_table(r, int(r.integers(2, 80)))
             n = int(r.integers(0, 300)) if seed % 10 else int(r.integers(0, 10000))
             syms = r.integers(0, table.num_symbols, size=n)
-            tables = [table] * n
-            payload = rc_encode(syms, tables)
-            np.testing.assert_array_equal(rc_decode(payload, tables, n), syms)
+            payload = rc_encode(syms, [table])
+            np.testing.assert_array_equal(rc_decode(payload, [table], n), syms)
             ce = table.bits_for(syms)
             assert ce <= len(payload) * 8 <= ce + 64
 
     def test_mixed_tables_per_position(self, rng):
+        # 8 tables, one 250-symbol run each
         tables = [random_table(rng, int(rng.integers(2, 50))) for _ in range(8)]
-        refs, syms = [], []
-        for i in range(2000):
-            t = tables[i % len(tables)]
-            refs.append(t)
-            syms.append(int(rng.integers(0, t.num_symbols)))
-        payload = rc_encode(syms, refs)
-        np.testing.assert_array_equal(rc_decode(payload, refs, len(syms)), syms)
+        syms = np.concatenate([rng.integers(0, t.num_symbols, size=250) for t in tables])
+        payload = rc_encode(syms, tables)
+        np.testing.assert_array_equal(rc_decode(payload, tables, len(syms)), syms)
 
 
 class TestErrors:
@@ -84,22 +80,36 @@ class TestErrors:
     def test_truncated_payload(self, rng):
         table = random_table(rng, 16)
         syms = rng.integers(0, 16, size=500)
-        payload = rc_encode(syms, [table] * 500)
+        payload = rc_encode(syms, [table])
         with pytest.raises(CodingError, match="truncated"):
-            rc_decode(payload[: len(payload) // 2], [table] * 500, 500)
+            rc_decode(payload[: len(payload) // 2], [table], 500)
 
     def test_unconsumed_payload_bytes_rejected(self, rng):
         table = random_table(rng, 16)
         syms = rng.integers(0, 16, size=500)
-        payload = rc_encode(syms, [table] * 500)
+        payload = rc_encode(syms, [table])
         with pytest.raises(CodingError, match=f"consumed {len(payload)} of {len(payload) + 1}"):
-            rc_decode(payload + b"\x00", [table] * 500, 500)
+            rc_decode(payload + b"\x00", [table], 500)
 
     def test_wrong_count_is_rejected(self, rng):
+        # one table takes any count, so a wrong one shows in the payload
         table = random_table(rng, 16)
-        payload = rc_encode([1, 2, 3], [table] * 3)
-        with pytest.raises(ContractViolation):
-            rc_decode(payload, [table] * 3, 5)
+        syms = rng.integers(0, 16, size=500)
+        payload = rc_encode(syms, [table])
+        with pytest.raises(CodingError, match="consumed"):
+            rc_decode(payload, [table], 400)
+        with pytest.raises(CodingError, match="truncated"):
+            rc_decode(payload, [table], 600)
+
+    def test_uneven_runs_are_rejected(self, rng):
+        tables = [random_table(rng, 16) for _ in range(3)]
+        with pytest.raises(ContractViolation, match="equal table runs"):
+            rc_encode(np.zeros(10, dtype=np.int64), tables)
+        payload = rc_encode(np.zeros(9, dtype=np.int64), tables)
+        with pytest.raises(ContractViolation, match="equal table runs"):
+            rc_decode(payload, tables, 10)
+        with pytest.raises(ContractViolation, match="equal table runs"):
+            rc_decode(payload, [], 9)
 
 
 class TestAgainstExactCoder:
@@ -115,8 +125,8 @@ class TestAgainstExactCoder:
             ref_decoded = reference_coder.decode(code, k, n, cum, TOTAL_FREQ)
             assert ref_decoded == syms
 
-            payload = rc_encode(syms, [table] * n)
-            mine = list(rc_decode(payload, [table] * n, n))
+            payload = rc_encode(syms, [table])
+            mine = list(rc_decode(payload, [table], n))
             assert mine == ref_decoded
             # both coders sit within a few bytes of the exact cross-entropy
             ce = table.bits_for(np.array(syms))
@@ -133,7 +143,7 @@ class TestGoldenBytes:
         r = np.random.default_rng(7)
         tables = [random_table(r, k) for k in (2, 5, 17, 64, 300)]
         syms = np.concatenate([r.integers(0, t.num_symbols, size=400) for t in tables])
-        payload = rc_encode(syms, [t for t in tables for _ in range(400)])
+        payload = rc_encode(syms, tables)
         assert len(payload) == 1169
         assert hashlib.sha256(payload).hexdigest() == \
             "ce7479e6463fc71e9384dfda7fcf93037c6642c44774d2536c02ff5afaf41335"
