@@ -146,19 +146,23 @@ def _cmd_rd_curve(args):
 
 
 def _cmd_inspect_ratio(args):
-    from .codec import LoadedCodec, feature_ratio, write_ratio_maps
+    from .codec import feature_ratio, write_ratio_maps
     from .image_io import read_image
+    from .training import Checkpoint
 
     try:
         idx_a, idx_b = (int(v) for v in args.lambda_index.split(","))
     except ValueError as exc:
         raise MaecodecError(f"--lambda-index must be 'a,b', got {args.lambda_index!r}") from exc
-    codec = LoadedCodec(args.checkpoint)
-    lams = codec.tradeoffs.lambdas
+    checkpoint = Checkpoint.load(args.checkpoint)
+    lams = checkpoint.lambdas
+    if not (0 <= idx_a < len(lams) and 0 <= idx_b < len(lams)):
+        raise MaecodecError(
+            f"--lambda-index {args.lambda_index} out of range for {len(lams)} tradeoffs")
     channels = None
     if args.channels:
         channels = [int(v) for v in args.channels.split(",")]
-    report = feature_ratio(codec, read_image(args.input), lams[idx_a], lams[idx_b], channels)
+    report = feature_ratio(checkpoint, read_image(args.input), lams[idx_a], lams[idx_b], channels)
     paths = write_ratio_maps(args.output, report)
     print("channel,min,max,variance")
     for ch, (lo, hi, var) in zip(report["channels"], report["stats"]):
@@ -204,8 +208,9 @@ def main(argv=None):
     except MaecodecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, no permission
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
 
 

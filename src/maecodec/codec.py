@@ -27,9 +27,8 @@ from .training import NETWORK_MODES, Checkpoint, model_from_checkpoint
 
 # Largest image, in pixels, the codec compresses or decompresses (2048 x
 # 2048).  The header's 16-bit sides would let a 2 KB file declare
-# 65535 x 65535 pixels, and the decoder then allocate 32 x 4096^2 table
-# references and a ~51 GB synthesis canvas; at this budget a 32-channel
-# decode peaks at about 450 MB.
+# 65535 x 65535 pixels, and the decoder then allocate a ~51 GB synthesis
+# canvas; at this budget a 32-channel decode peaks at about 450 MB.
 MAX_PIXELS = 1 << 22
 
 
@@ -242,8 +241,9 @@ def feature_ratio(checkpoint, image_hwc, lam_a, lam_b, channels=None, eps=1e-6):
     gray in the maps).  Channel-wise scalar scaling yields variance ~0;
     a modulated autoencoder generally does not.
     """
-    codec = checkpoint if isinstance(checkpoint, LoadedCodec) else LoadedCodec(checkpoint)
-    codec = LoadedCodec(codec.checkpoint, dtype=np.float64)  # variance needs headroom
+    if isinstance(checkpoint, LoadedCodec):
+        checkpoint = checkpoint.checkpoint
+    codec = LoadedCodec(checkpoint, dtype=np.float64)  # variance needs headroom
     z_a = codec.latent(image_hwc, lam_a)
     z_b = codec.latent(image_hwc, lam_b)
     total = z_a.shape[0]

@@ -93,6 +93,29 @@ def test_error_exit_code_is_one(workspace, capsys):
     assert err.startswith("error: ") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("flag", ["--checkpoint", "--input"])
+def test_directory_for_a_file_is_an_error(workspace, capsys, flag):
+    args = {"--checkpoint": str(workspace / "model.ckpt"),
+            "--input": str(workspace / "imgs" / "img_0.ppm"),
+            "--output": str(workspace / "dir.mae")}
+    args[flag] = str(workspace / "imgs")
+    for command in ("compress", "decompress"):
+        argv = [command] + [v for pair in args.items() for v in pair]
+        if command == "compress":
+            argv += ["--lambda-index", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "\n" not in err.strip()
+        assert str(workspace / "imgs") in err
+
+
+def test_inspect_ratio_index_out_of_range(workspace, capsys):
+    assert main(["inspect-ratio", "--checkpoint", str(workspace / "model.ckpt"),
+                 "--input", str(workspace / "imgs" / "img_1.ppm"),
+                 "--lambda-index", "3,0", "--output", str(workspace / "ratios_bad")]) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code_is_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
