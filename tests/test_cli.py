@@ -99,11 +99,9 @@ def test_directory_for_a_file_is_an_error(workspace, capsys, flag):
             "--input": str(workspace / "imgs" / "img_0.ppm"),
             "--output": str(workspace / "dir.mae")}
     args[flag] = str(workspace / "imgs")
-    for command in ("compress", "decompress"):
-        argv = [command] + [v for pair in args.items() for v in pair]
-        if command == "compress":
-            argv += ["--lambda-index", "0"]
-        assert main(argv) == 1
+    argv = [v for pair in args.items() for v in pair]
+    for command in (["compress", "--lambda-index", "0"], ["decompress"]):
+        assert main(command + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "\n" not in err.strip()
         assert str(workspace / "imgs") in err
