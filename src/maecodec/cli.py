@@ -154,14 +154,19 @@ def _cmd_inspect_ratio(args):
         idx_a, idx_b = (int(v) for v in args.lambda_index.split(","))
     except ValueError as exc:
         raise MaecodecError(f"--lambda-index must be 'a,b', got {args.lambda_index!r}") from exc
+    channels = None
+    if args.channels:
+        try:
+            channels = [int(v) for v in args.channels.split(",")]
+        except ValueError as exc:
+            raise MaecodecError(
+                f"--channels must be comma-separated channel indices, got {args.channels!r}"
+            ) from exc
     checkpoint = Checkpoint.load(args.checkpoint)
     lams = checkpoint.lambdas
     if not (0 <= idx_a < len(lams) and 0 <= idx_b < len(lams)):
         raise MaecodecError(
             f"--lambda-index {args.lambda_index} out of range for {len(lams)} tradeoffs")
-    channels = None
-    if args.channels:
-        channels = [int(v) for v in args.channels.split(",")]
     report = feature_ratio(checkpoint, read_image(args.input), lams[idx_a], lams[idx_b], channels)
     paths = write_ratio_maps(args.output, report)
     print("channel,min,max,variance")

@@ -172,8 +172,14 @@ class CodecModel:
                     nets.append(ModulationNet(p, prefix))
 
         if mode == "bottleneck":
-            for lam in tradeoffs:
-                p[f"scale.{lam:g}"] = self._new(np.ones(c))
+            # the names are checkpoint keys: tradeoffs that agree to 6
+            # significant digits would share one vector
+            names = [f"scale.{lam:g}" for lam in tradeoffs]
+            if len(set(names)) != len(names):
+                raise ContractViolation(
+                    f"tradeoffs {tradeoffs.lambdas} give colliding scale-vector names {names}")
+            for name in names:
+                p[name] = self._new(np.ones(c))
 
     def _new(self, values):
         return T.Tensor(values.astype(self.dtype), requires_grad=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -320,10 +321,16 @@ class Checkpoint:
                 params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
                 offset = end
             lambda_index = header.get("lambda_index")
+            # checked, not converted: to_bytes writes the values back as read
+            lambdas = tuple(header["lambdas"])
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in lambdas):
+                raise CheckpointError(
+                    f"malformed checkpoint header: lambdas must be finite numbers, "
+                    f"got {header['lambdas']!r}")
             ckpt = cls(
                 config=CodecConfig(channels=header["channels"], mod_hidden=header["mod_hidden"]),
                 mode=header["mode"],
-                lambdas=tuple(header["lambdas"]),
+                lambdas=lambdas,
                 iteration=int(header["iteration"]),
                 params=params,
                 lambda_index=None if lambda_index is None else int(lambda_index),
@@ -331,8 +338,8 @@ class Checkpoint:
             )
         except CheckpointError:
             raise
-        except (TypeError, ValueError) as exc:
-            # fields of the wrong type or shape (ContractViolation included)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # fields of the wrong type, shape or range (ContractViolation included)
             raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
         if offset != len(data):
             raise CheckpointError("checkpoint has trailing bytes")

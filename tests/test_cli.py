@@ -114,6 +114,14 @@ def test_inspect_ratio_index_out_of_range(workspace, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_inspect_ratio_channels_not_integers(workspace, capsys):
+    assert main(["inspect-ratio", "--checkpoint", str(workspace / "model.ckpt"),
+                 "--input", str(workspace / "imgs" / "img_1.ppm"), "--lambda-index", "2,0",
+                 "--channels", "a", "--output", str(workspace / "ratios_bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --channels") and "\n" not in err.strip()
+
+
 def test_usage_error_exit_code_is_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

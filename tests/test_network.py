@@ -190,6 +190,14 @@ class TestBottleneckScaling:
                 for lam in (64.0, 512.0))
             assert bits1 >= bits0 - 1e-9
 
+    def test_colliding_scale_names_rejected(self):
+        # scale.{lam:g} names agree for tradeoffs equal to 6 significant digits
+        close = TradeoffSet((1e6, 1000001.0))
+        with pytest.raises(ContractViolation, match="colliding"):
+            CodecModel(CodecConfig(channels=4, mod_hidden=2), close, "bottleneck")
+        for mode in ("mae", "plain"):  # no scale vectors, nothing to collide
+            CodecModel(CodecConfig(channels=4, mod_hidden=2), close, mode)
+
 
 class TestParameterStore:
     @pytest.mark.parametrize("mode", ["mae", "plain", "bottleneck"])

@@ -152,7 +152,25 @@ CONV_CASES = _network_stage_cases() + [
     ("convT", 1, 192, 192, 1, 1, 5, 2, 2, 1),
     ("convT", 1, 192, 192, 8, 8, 5, 2, 2, 1),
     ("convT", 2, 192, 192, 16, 16, 5, 2, 2, 1),
+    # the grad-check model's stages: 3 channels, 16^2 -> 4^2 -> 2^2 -> 1^2 and back
+    ("conv", 1, 3, 3, 16, 16, 9, 4, 4, None),
+    ("conv", 1, 3, 3, 4, 4, 5, 2, 2, None),
+    ("conv", 1, 3, 3, 2, 2, 5, 2, 2, None),
+    ("convT", 1, 3, 3, 1, 1, 5, 2, 2, 1),
+    ("convT", 1, 3, 3, 2, 2, 5, 2, 2, 1),
+    ("convT", 1, 3, 3, 4, 4, 9, 4, 4, 3),
+    # a window as wide as its input: the strided view is already contiguous
+    ("conv", 1, 3, 4, 5, 5, 5, 1, 0, None),
+    ("conv", 1, 3, 32, 9, 9, 9, 4, 0, None),
 ]
+
+# col2im scatters (16*4*4) x (ho*wo) contribution elements: 15x17, 16x16 and
+# 16x17 positions sit just below, at and just above tensor._SMALL_SCATTER,
+# in the input gradient of conv2d and the forward map of conv2d_transpose
+SCATTER_POSITIONS = ((15, 17), (16, 16), (16, 17))
+CONV_CASES += [("conv", 1, 16, 8, 2 * ho, 2 * wo, 4, 2, 1, None)
+               for ho, wo in SCATTER_POSITIONS]
+CONV_CASES += [("convT", 1, 8, 16, h, w, 4, 2, 1, 1) for h, w in SCATTER_POSITIONS]
 
 
 def _conv_and_grads(module, case, dtype):
@@ -193,6 +211,27 @@ class TestConvAgainstReference:
         for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
                                        err_msg=name)
+
+    def test_scatter_cases_straddle_the_threshold(self):
+        below, at, above = (16 * 4 * 4 * h * w for h, w in SCATTER_POSITIONS)
+        assert below < at == T._SMALL_SCATTER < above
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_im2col_never_shares_memory_with_its_input(self, case):
+        # the window buffer is kept for backward; only the 1x1 stride-1
+        # gather is documented as a view of its input
+        kind, n, ci, co, h, w, k, stride, pad, out_pad = case
+        if kind == "conv":
+            x = np.zeros((n, ci, h + 2 * pad, w + 2 * pad))
+            ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        else:  # the backward pass gathers from the uncropped output canvas
+            x = np.zeros((n, co, (h - 1) * stride + k + out_pad, (w - 1) * stride + k + out_pad))
+            ho, wo = h, w
+        cols = T._im2col(x, k, k, stride, ho, wo)
+        if k == stride == 1:
+            assert np.shares_memory(cols, x)
+        else:
+            assert cols.flags.c_contiguous and not np.shares_memory(cols, x)
 
 
 class TestAffine:

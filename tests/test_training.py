@@ -345,7 +345,11 @@ class TestCheckpoint:
         head_len = struct.unpack(">I", data[5:9])[0]
         for field, value in (("params", 5),         # not a list of blocks
                              ("params", [["a"]]),   # a block without a shape
-                             ("channels", "x"), ("iteration", "z")):
+                             ("channels", "x"), ("iteration", "z"),
+                             ("iteration", float("inf")),
+                             # tradeoffs that are not finite numbers
+                             ("lambdas", ["a"]), ("lambdas", [64, float("nan")]),
+                             ("lambdas", [True]), ("lambdas", [10 ** 400])):
             header = json.loads(data[9 : 9 + head_len])
             header[field] = value
             head = json.dumps(header).encode()
