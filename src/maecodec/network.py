@@ -15,6 +15,7 @@ before quantization and inverted after.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,8 @@ class TradeoffSet:
 
     def __post_init__(self):
         lams = tuple(float(v) for v in self.lambdas)
+        if not all(math.isfinite(v) for v in lams):
+            raise ContractViolation(f"tradeoffs must be finite, got {lams}")
         if not lams or any(v <= 0 for v in lams):
             raise ContractViolation("tradeoffs must be strictly positive")
         if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -78,9 +81,6 @@ class TradeoffSet:
         if lam not in self.lambdas:
             raise ContractViolation(f"tradeoff {lam} is not in {self.lambdas}")
         return lam / self.lambdas[-1]
-
-    def index_of(self, lam):
-        return self.lambdas.index(float(lam))
 
 
 class ModulationNet:

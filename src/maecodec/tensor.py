@@ -27,11 +27,10 @@ _FLOAT_TYPES = (np.float32, np.float64)
 class Tensor:
     """A dense float array plus a requires_grad flag.
 
-    ``data`` is always a C-contiguous float32/float64 ndarray.  ``grad`` is
-    filled in by ``GradientTape.backward`` for tensors that require grad.
+    ``data`` is always a C-contiguous float32/float64 ndarray.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         # an ndarray that already qualifies is kept as is; anything else
@@ -44,7 +43,6 @@ class Tensor:
             data = np.ascontiguousarray(arr)
         self.data = data
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -144,8 +142,7 @@ class GradientTape:
 
         Returns a dict keyed by Tensor identity.  Tensors recorded on the
         tape but not reachable from ``loss`` get exact zeros, as does any
-        tensor in ``params`` that never appeared on the tape.  Also stores
-        the result on each tensor's ``.grad``.
+        tensor in ``params`` that never appeared on the tape.
         """
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractViolation("backward() needs a scalar loss tensor")
@@ -176,8 +173,6 @@ class GradientTape:
             for p in params:
                 if p not in result:
                     result[p] = np.zeros_like(p.data)
-        for t, g in result.items():
-            t.grad = g
         return result
 
 

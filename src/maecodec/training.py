@@ -63,6 +63,7 @@ class TrainingConfig:
             raise ContractViolation("batch size must be >= 1 and iteration counts >= 0")
         if self.mode not in ("mae", "independent", "bottleneck"):
             raise ContractViolation(f"unknown training mode {self.mode!r}")
+        TradeoffSet(self.lambdas)  # raises ContractViolation for a bad set
         if self.mode == "independent" and self.lambda_index is None:
             raise ContractViolation("independent mode needs lambda_index")
         if self.lambda_index is not None and not 0 <= self.lambda_index < len(self.lambdas):
@@ -455,25 +456,30 @@ def _train_steps(model, optimizer, params, config, images, *, phase, iterations,
 def train(config, dataset, log_path=None):
     """Run the configured training procedure over an image list or directory.
 
-    Modes:
-      mae          - the shared autoencoder trains total_iters at the
-                     largest tradeoff, modulation networks held at their
-                     initialization; then every parameter trains for
-                     phase2_iters per non-top tradeoff under a fresh Adam,
-                     one tradeoff sampled uniformly per minibatch and its
-                     objective scaled by tradeoff_weight, max(lambdas) / lam,
-                     so that the top tradeoff does not dominate the
-                     optimizer.
-      independent  - fixed tradeoff (config.lambda_index) on a plain
-                     autoencoder.
-      bottleneck   - plain autoencoder at the largest tradeoff, then the
-                     transforms are frozen and one scaling vector is learned
-                     per remaining tradeoff.
+    A run is a list of phases.  Each phase trains one subset of the
+    parameters, the rest frozen, under a fresh Adam, at one base learning
+    rate and one rule for the tradeoff of each minibatch:
+      phase 0      - the mode's own tradeoff (config.lambda_index in
+                     independent mode, the largest otherwise) trains the
+                     shared autoencoder for total_iters at lr_main; scale
+                     vectors and modulation networks stay at their
+                     initialization.
+      mae          - then one joint phase trains every parameter for
+                     phase2_iters per non-top tradeoff, one tradeoff sampled
+                     uniformly per minibatch and its objective scaled by
+                     tradeoff_weight, max(lambdas) / lam, so that the top
+                     tradeoff does not dominate the optimizer.
+      bottleneck   - then one phase per non-top tradeoff trains that
+                     tradeoff's scaling vector alone, phase2_iters at
+                     lr_entropy.  Phase 0 is therefore the independent run
+                     at the top tradeoff, and the later phases leave every
+                     parameter it trained unchanged.
+      independent  - phase 0 alone, on a plain autoencoder.
 
     Returns a list of (iteration, Checkpoint): requested snapshots plus the
     final state.  Iterations count the steps that train the transforms:
     total_iters, plus the joint phase in mae mode (the bottleneck's
-    scaling-only phase does not advance the count).  Deterministic:
+    scaling-only phases do not advance the count).  Deterministic:
     identical config and dataset give bit-identical checkpoints.
     """
     images = dataset
@@ -484,68 +490,43 @@ def train(config, dataset, log_path=None):
             raise DatasetError("every training image must be at least crop-size on both sides")
 
     tradeoffs = config.tradeoffs
-    mode = NETWORK_MODES.get(config.mode, config.mode)
-    model = CodecModel(config.codec_config, tradeoffs, mode, seed=config.seed)
-    lr_ratio = config.lr_entropy / config.lr_main
-    # scale vectors and modulation networks are variable-rate state: the
-    # top-tradeoff phase trains the shared autoencoder alone, leaving every
-    # scale vector at 1 and every modulation network at its initialization
-    phase1_names = {n for n in model.parameters() if not n.startswith(TRADEOFF_PARAMS)}
-    optimizer, params = adam_for_model(model, trainable=phase1_names,
-                                       lr_entropy_scale=lr_ratio)
-
-    if config.mode == "independent":
-        fixed = tradeoffs.lambdas[config.lambda_index]
-        pick = lambda rng: fixed
-    else:
-        top = tradeoffs.lambdas[-1]
-        pick = lambda rng: top
+    model = CodecModel(config.codec_config, tradeoffs, NETWORK_MODES.get(config.mode, config.mode),
+                       seed=config.seed)
+    named = model.parameters()
+    own = tradeoffs.lambdas[config.lambda_index if config.mode == "independent" else -1]
     joint_iters = (len(tradeoffs) - 1) * config.phase2_iters if config.mode == "mae" else 0
+    # (trainable names, iterations, tradeoff per minibatch, base rate,
+    # iterations counted before the phase); phase k draws its randomness
+    # from _iteration_rng(seed, k, it)
+    phases = [({n for n in named if not n.startswith(TRADEOFF_PARAMS)}, config.total_iters,
+               lambda rng: own, config.lr_main, 0)]
+    if config.mode == "mae":
+        phases.append((set(named), joint_iters, lambda rng: sample_tradeoff(tradeoffs, rng),
+                       config.lr_main, config.total_iters))
+    elif config.mode == "bottleneck":
+        # the scale vectors step at the fast (entropy-model) rate: they must
+        # travel far from 1
+        phases += [({f"scale.{lam:g}"}, config.phase2_iters, lambda rng, lam=lam: lam,
+                    config.lr_entropy, config.total_iters) for lam in tradeoffs.lambdas[:-1]]
     final_iter = config.total_iters + joint_iters
 
     log = _TrainLog(log_path)
-    wanted = set(config.snapshot_iters) - {final_iter}
     ckpt_lambda = config.lambda_index if config.mode == "independent" else None
     series = []
     try:
-        for it in _train_steps(model, optimizer, params, config, images,
-                               phase=0, iterations=config.total_iters,
-                               pick_lambda=pick, log=log):
-            if it in wanted:
-                series.append((it, snapshot(model, it, ckpt_lambda)))
-
-        if config.mode == "mae":
-            # a fresh optimizer: top-tradeoff moments would turn the first
-            # low-tradeoff gradients into oversized steps
-            optimizer, params = adam_for_model(model, lr_entropy_scale=lr_ratio)
-            for it in _train_steps(
-                    model, optimizer, params, config, images, phase=1,
-                    iterations=joint_iters,
-                    pick_lambda=lambda rng: sample_tradeoff(tradeoffs, rng),
-                    log=log, start_count=config.total_iters):
-                if it in wanted:
+        for phase, (trainable, iterations, pick, base_lr, start_count) in enumerate(phases):
+            # frozen tensors stay off the tape; each phase gets a fresh
+            # optimizer, since the moments of the phase before would turn
+            # its first gradients into oversized steps
+            for name, tensor in named.items():
+                tensor.requires_grad = name in trainable
+            optimizer, params = adam_for_model(
+                model, trainable=trainable, lr_entropy_scale=config.lr_entropy / config.lr_main)
+            for it in _train_steps(model, optimizer, params, config, images, phase=phase,
+                                   iterations=iterations, pick_lambda=pick, log=log,
+                                   base_lr=base_lr, start_count=start_count):
+                if it in config.snapshot_iters and it < final_iter:
                     series.append((it, snapshot(model, it, ckpt_lambda)))
-
-        if config.mode == "bottleneck":
-            # transforms and entropy model stay frozen; each remaining
-            # tradeoff learns only its scaling vector, stepped at the fast
-            # (entropy-model) rate since it must travel far from 1.0.
-            # Freezing via requires_grad also keeps the tape off the encoder.
-            all_named = model.parameters()
-            for lam in tradeoffs.lambdas[:-1]:
-                name = f"scale.{lam:g}"
-                for pname, tensor in all_named.items():
-                    tensor.requires_grad = pname == name
-                optimizer, params = adam_for_model(model, trainable={name})
-                steps = _train_steps(
-                    model, optimizer, params, config, images,
-                    phase=1 + tradeoffs.index_of(lam), iterations=config.phase2_iters,
-                    pick_lambda=lambda rng, lam=lam: lam, log=log,
-                    base_lr=config.lr_entropy, start_count=config.total_iters)
-                for _ in steps:
-                    pass
-            for tensor in all_named.values():
-                tensor.requires_grad = True
     finally:
         log.close()
 

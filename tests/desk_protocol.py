@@ -8,6 +8,13 @@ scaling-only iterations per non-top tradeoff.  The modulated autoencoder
 spends 2000 at the top tradeoff (modulation networks held), then 1500
 joint ones per non-top tradeoff, at the halved learning rate.
 
+Four jobs per seed, 12 in all: the modulated autoencoder, the
+independent models at the two lower tradeoffs, and the bottleneck
+baseline.  The bottleneck run's first phase is the independent run at
+the top tradeoff, and its scaling-only phases leave every parameter of
+that phase unchanged, so the bottleneck job also writes the independent
+top-tradeoff model (``independent_top``).
+
 Training output is cached under tests/_artifacts keyed by a digest of the
 source modules that influence the numbers, so editing the codec code
 invalidates the cache automatically.  Jobs run in single-threaded worker
@@ -15,6 +22,7 @@ processes (two in parallel; at these tensor sizes BLAS threading is a
 slowdown, process parallelism is not).
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -34,6 +42,7 @@ HALVE_AT = 3500
 PHASE2_ITERS = 1500
 # the modulated autoencoder's joint phase comes out of the same budget
 MAE_TOP_ITERS = TOTAL_ITERS - (len(LAMBDAS) - 1) * PHASE2_ITERS
+# saved by the mae job alone: criterion 5+ reads them
 SNAPSHOT_ITERS = (100,)
 SEEDS = (0, 1, 2)
 NUM_TRAIN_IMAGES = 20
@@ -46,8 +55,8 @@ NUM_TEST_IMAGES = 20
 # the top tradeoff's worst
 TEST_IMAGE_SIDE = 96
 
-JOBS = [("mae", None)] + [("independent", i) for i in range(len(LAMBDAS))] \
-    + [("bottleneck", None)]
+TOP = len(LAMBDAS) - 1
+JOBS = [("mae", None)] + [("independent", i) for i in range(TOP)] + [("bottleneck", None)]
 
 
 def _source_digest():
@@ -93,16 +102,31 @@ def job_config(method, lambda_index, seed):
         mode=method, channels=CHANNELS, crop_size=CROP, batch_size=BATCH,
         lambdas=LAMBDAS, total_iters=total, halve_at=halve_at,
         phase2_iters=PHASE2_ITERS, seed=seed, lambda_index=lambda_index,
-        snapshot_iters=SNAPSHOT_ITERS)
+        snapshot_iters=SNAPSHOT_ITERS if method == "mae" else ())
 
 
 def job_tag(method, lambda_index, seed):
     return f"{method}{'' if lambda_index is None else lambda_index}_seed{seed}"
 
 
-def job_paths(method, lambda_index, seed):
-    tag = job_tag(method, lambda_index, seed)
-    return {it: cache_dir() / f"{tag}_it{it}.ckpt" for it in SNAPSHOT_ITERS + (TOTAL_ITERS,)}
+def job_outputs(method, lambda_index, seed):
+    """(method, lambda_index, seed) -> {iteration: path} for every model
+    the job writes: its own, plus the independent top one for bottleneck."""
+    iterations = job_config(method, lambda_index, seed).snapshot_iters + (TOTAL_ITERS,)
+    models = [(method, lambda_index)]
+    if method == "bottleneck":
+        models.append(("independent", TOP))
+    return {(m, i, seed): {it: cache_dir() / f"{job_tag(m, i, seed)}_it{it}.ckpt"
+                           for it in iterations}
+            for m, i in models}
+
+
+def independent_top(ckpt):
+    """The independent top-tradeoff model held in a bottleneck checkpoint:
+    its scale vectors dropped, labelled plain at the top index."""
+    return dataclasses.replace(
+        ckpt, mode="plain", lambda_index=len(ckpt.lambdas) - 1,
+        params={n: b for n, b in ckpt.params.items() if not n.startswith("scale.")})
 
 
 def run_job(method, lambda_index, seed):
@@ -110,8 +134,8 @@ def run_job(method, lambda_index, seed):
     line when it starts and one per checkpoint saved."""
     from maecodec.training import train
 
-    paths = job_paths(method, lambda_index, seed)
-    if all(p.exists() for p in paths.values()):
+    outputs = job_outputs(method, lambda_index, seed)
+    if all(p.exists() for paths in outputs.values() for p in paths.values()):
         return
     tag = job_tag(method, lambda_index, seed)
     start = time.perf_counter()
@@ -119,9 +143,26 @@ def run_job(method, lambda_index, seed):
     cache_dir().mkdir(parents=True, exist_ok=True)
     series = train(job_config(method, lambda_index, seed), training_images())
     for iteration, ckpt in series:
-        ckpt.save(paths[iteration])
-        print(f"[{tag}] saved iteration {iteration} ({paths[iteration].name}) "
-              f"at {time.perf_counter() - start:.1f} s", flush=True)
+        saves = [(outputs[(method, lambda_index, seed)][iteration], ckpt)]
+        if method == "bottleneck":
+            saves.append((outputs[("independent", TOP, seed)][iteration], independent_top(ckpt)))
+        for path, model in saves:
+            model.save(path)
+            print(f"[{tag}] saved iteration {iteration} ({path.name}) "
+                  f"at {time.perf_counter() - start:.1f} s", flush=True)
+
+
+def pending_jobs():
+    """(outputs, pending): (method, lambda_index, seed) -> {iteration: path}
+    for every desk model, and the jobs with an output missing."""
+    outputs, pending = {}, []
+    for seed in SEEDS:
+        for method, lam_idx in JOBS:
+            job = job_outputs(method, lam_idx, seed)
+            outputs.update(job)
+            if not all(p.exists() for paths in job.values() for p in paths.values()):
+                pending.append((method, lam_idx, seed))
+    return outputs, pending
 
 
 def ensure_trained(max_workers=2, log=print):
@@ -129,14 +170,7 @@ def ensure_trained(max_workers=2, log=print):
 
     Returns a dict (method, lambda_index, seed) -> {iteration: path}.
     """
-    pending = []
-    result = {}
-    for seed in SEEDS:
-        for method, lam_idx in JOBS:
-            paths = job_paths(method, lam_idx, seed)
-            result[(method, lam_idx, seed)] = paths
-            if not all(p.exists() for p in paths.values()):
-                pending.append((method, lam_idx, seed))
+    result, pending = pending_jobs()
     if not pending:
         return result
 

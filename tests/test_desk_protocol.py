@@ -1,4 +1,5 @@
-"""The byte-identity gate for desk checkpoints: ``desk_protocol.py compare``."""
+"""The desk job table, and the byte-identity gate for desk checkpoints:
+``desk_protocol.py compare``."""
 
 import subprocess
 import sys
@@ -47,3 +48,27 @@ def test_compare_fails_when_there_is_nothing_to_compare(tmp_path, monkeypatch):
     lines = []
     assert desk_protocol.compare("old", log=lines.append) == 1
     assert lines == ["no checkpoints in old/ or new/"]
+
+
+def test_job_table_covers_what_the_acceptance_suite_reads(tmp_path, monkeypatch):
+    monkeypatch.setattr(desk_protocol, "cache_dir", lambda: tmp_path)
+    seeds, last = desk_protocol.SEEDS, desk_protocol.TOTAL_ITERS
+    jobs = [(method, index, seed) for seed in seeds for method, index in desk_protocol.JOBS]
+    assert len(jobs) == 12
+    # (method, lambda_index, seed, iteration) of every checkpoint the
+    # acceptance suite loads: criterion 5+ reads the mae run at iteration 100
+    read = {("mae", None, s, it) for s in seeds for it in (100, last)}
+    read |= {("bottleneck", None, s, last) for s in seeds}
+    read |= {("independent", i, s, last) for s in seeds for i in range(len(desk_protocol.LAMBDAS))}
+    outputs, pending = desk_protocol.pending_jobs()
+    assert pending == jobs
+    assert {model + (it,) for model, paths in outputs.items() for it in paths} == read
+    written = [path for job in jobs for paths in desk_protocol.job_outputs(*job).values()
+               for path in paths.values()]
+    assert len(set(written)) == len(written), "a checkpoint written by two jobs"
+
+    for path in written:
+        path.write_bytes(b"")
+    assert desk_protocol.pending_jobs()[1] == []
+    (tmp_path / "independent2_seed1_it5000.ckpt").unlink()
+    assert desk_protocol.pending_jobs()[1] == [("bottleneck", None, 1)]

@@ -30,6 +30,9 @@ class TestTradeoffSet:
             TradeoffSet((0.0, 1.0))
         with pytest.raises(ContractViolation):
             TradeoffSet((4.0, 2.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ContractViolation, match="finite"):
+                TradeoffSet((64.0, bad))
         with pytest.raises(ContractViolation):
             TradeoffSet().normalized(100.0)
 

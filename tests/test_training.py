@@ -201,24 +201,23 @@ class TestTrainLoop:
                        images)
         assert [it for it, _ in series] == [2, 4, 7, 9]
 
-    def test_bottleneck_freezes_transforms(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bottleneck_holds_the_independent_top_model(self, seed):
+        # the scale phases train the lower scale vectors alone, so the
+        # bottleneck run's final checkpoint holds its first phase, the
+        # independent run at the top tradeoff; the desk protocol writes
+        # that model from the bottleneck job
+        from desk_protocol import independent_top
+
         images = make_corpus(2, 32, 32)
-        cfg = tiny_config(mode="bottleneck", total_iters=3, halve_at=3,
-                          phase2_iters=2, snapshot_iters=(3,))
-        series = train(cfg, images)
-        phase1 = series[0][1]  # snapshot right after phase 1
-        final = series[-1][1]
-        for name, block in final.params.items():
-            if name.startswith("scale."):
-                continue
-            np.testing.assert_array_equal(block, phase1.params[name],
-                                          err_msg=f"{name} moved during phase 2")
-        top = max(cfg.lambdas)
-        np.testing.assert_array_equal(final.params[f"scale.{top:g}"],
-                                      np.ones(cfg.channels, dtype=np.float32))
-        low = min(cfg.lambdas)
-        assert not np.array_equal(final.params[f"scale.{low:g}"],
-                                  np.ones(cfg.channels, dtype=np.float32))
+        bottleneck = train(tiny_config(mode="bottleneck", seed=seed), images)[-1][1]
+        independent = train(tiny_config(mode="independent", lambda_index=2, seed=seed),
+                            images)[-1][1]
+        assert independent_top(bottleneck).to_bytes() == independent.to_bytes()
+        ones = np.ones(16, dtype=np.float32)
+        np.testing.assert_array_equal(bottleneck.params["scale.4096"], ones)
+        for low in ("scale.64", "scale.512"):
+            assert not np.array_equal(bottleneck.params[low], ones), low
 
     @pytest.mark.parametrize("mode, lam, weight", [
         ("mae", 4096.0, 1.0),
@@ -429,6 +428,10 @@ class TestConfigFile:
             tiny_config(total_iters=5, halve_at=9)
         with pytest.raises(ContractViolation):
             tiny_config(mode="independent")  # missing lambda_index
+        for bad in (float("nan"), float("inf")):
+            # as a config file line "lambdas = 64,nan" gives
+            with pytest.raises(ContractViolation, match="finite"):
+                tiny_config(lambdas=(64.0, bad))
 
     def test_lambda_index_outside_the_set_rejected(self):
         # 3 used to fail later with an IndexError in train(); -1 trained at
