@@ -43,7 +43,7 @@ def _build_parser():
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--images", required=True)
     ev.add_argument("--lambda-index", type=int, default=None,
-                    help="restrict to one tradeoff (default: all)")
+                    help="restrict to one tradeoff (default: every one the checkpoint serves)")
     ev.add_argument("--output", default=None, help="write CSV here instead of stdout")
 
     curve = sub.add_parser("rd-curve", help="rate-distortion CSV over several checkpoints")
@@ -105,32 +105,24 @@ def _cmd_decompress(args):
 
 
 def _print_points(points, output):
-    from .codec import write_rd_csv, CSV_HEADER
+    from .codec import rd_rows, write_rd_csv
 
     if output:
         write_rd_csv(output, points)
         print(f"wrote {len(points)} rows -> {output}")
     else:
-        print(",".join(CSV_HEADER))
-        for p in points:
-            print(f"{p.method},{p.lam:g},{p.bpp:.6f},{p.psnr_db:.4f},{p.msssim_db:.4f}")
+        for row in rd_rows(points):
+            print(",".join(row))
 
 
 def _cmd_evaluate(args):
-    from .codec import LoadedCodec, evaluate_image, _mean_point
+    from .codec import LoadedCodec, mean_point, operating_points
     from .training import load_dataset
 
     codec = LoadedCodec(args.checkpoint)
     images = load_dataset(args.images)
-    if args.lambda_index is not None:
-        indices = [args.lambda_index]
-    elif codec.model.mode == "plain" and codec.checkpoint.lambda_index is not None:
-        indices = [codec.checkpoint.lambda_index]
-    else:
-        indices = range(len(codec.tradeoffs))
-    points = [_mean_point([evaluate_image(codec, img, idx) for img in images])
-              for idx in indices]
-    _print_points(points, args.output)
+    indices = operating_points(codec) if args.lambda_index is None else [args.lambda_index]
+    _print_points([mean_point(codec, images, idx) for idx in indices], args.output)
     return 0
 
 

@@ -73,11 +73,11 @@ class LoadedCodec:
         return self.model.encode(x, lam).data[0]
 
 
-def _pad_to_multiple(image_hwc, multiple=DOWNSAMPLE):
-    """Replicate the bottom/right edges until the sides divide ``multiple``."""
+def _pad_to_multiple(image_hwc):
+    """Replicate the bottom/right edges until the sides divide DOWNSAMPLE."""
     h, w = image_hwc.shape[:2]
-    pad_h = (-h) % multiple
-    pad_w = (-w) % multiple
+    pad_h = (-h) % DOWNSAMPLE
+    pad_w = (-w) % DOWNSAMPLE
     if pad_h == 0 and pad_w == 0:
         return image_hwc
     return np.pad(image_hwc, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
@@ -171,7 +171,20 @@ def method_name(mode):
     return _METHODS.get(mode, mode)
 
 
-def _mean_point(points):
+def operating_points(codec):
+    """The tradeoff indices a checkpoint serves: a "plain" checkpoint its
+    recorded trained tradeoff (several of them form the independent-models
+    curve), "mae" and "bottleneck" checkpoints every index of their set."""
+    if codec.model.mode != "plain":
+        return list(range(len(codec.tradeoffs)))
+    if codec.checkpoint.lambda_index is None:
+        raise ContractViolation("independent checkpoint does not record its trained tradeoff")
+    return [codec.checkpoint.lambda_index]
+
+
+def mean_point(codec, images, idx):
+    """Tradeoff ``idx``'s operating point, averaged over ``images``."""
+    points = [evaluate_image(codec, img, idx) for img in images]
     return RdPoint(
         method=points[0].method,
         lam=points[0].lam,
@@ -184,12 +197,10 @@ def _mean_point(points):
 def rd_curve(checkpoints, images):
     """Mean operating points for one or more trained methods.
 
-    ``checkpoints`` is a list of Checkpoint/LoadedCodec/paths.  A "plain"
-    checkpoint contributes a single point at its trained tradeoff
-    (several of them form the independent-models curve); "mae" and
-    "bottleneck" checkpoints contribute one point per tradeoff in their
-    set.  ``images`` is a list of float (H, W, 3) arrays or a directory.
-    Rows come back sorted by (method, bpp ascending).
+    ``checkpoints`` is a list of Checkpoint/LoadedCodec/paths; each
+    contributes one point per index of operating_points.  ``images`` is a
+    list of float (H, W, 3) arrays or a directory.  Rows come back sorted
+    by (method, bpp ascending).
     """
     if isinstance(images, (str, Path)):
         from .training import load_dataset
@@ -201,17 +212,7 @@ def rd_curve(checkpoints, images):
     points = []
     for entry in checkpoints:
         codec = entry if isinstance(entry, LoadedCodec) else LoadedCodec(entry)
-        if codec.model.mode == "plain":
-            if codec.checkpoint.lambda_index is None:
-                raise ContractViolation(
-                    "independent checkpoint does not record its trained tradeoff"
-                )
-            indices = [codec.checkpoint.lambda_index]
-        else:
-            indices = range(len(codec.tradeoffs))
-        for idx in indices:
-            per_image = [evaluate_image(codec, img, idx) for img in images]
-            points.append(_mean_point(per_image))
+        points += [mean_point(codec, images, idx) for idx in operating_points(codec)]
     points.sort(key=lambda p: (p.method, p.bpp))
     return points
 
@@ -219,25 +220,27 @@ def rd_curve(checkpoints, images):
 CSV_HEADER = ("method", "lambda", "bpp", "psnr_db", "msssim_db")
 
 
+def rd_rows(points):
+    """The CSV header and one formatted row per point."""
+    return [CSV_HEADER] + [(p.method, f"{p.lam:g}", f"{p.bpp:.6f}", f"{p.psnr_db:.4f}",
+                            f"{p.msssim_db:.4f}") for p in points]
+
+
 def write_rd_csv(path, points):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for p in points:
-            writer.writerow([p.method, f"{p.lam:g}", f"{p.bpp:.6f}",
-                             f"{p.psnr_db:.4f}", f"{p.msssim_db:.4f}"])
+        csv.writer(fh).writerows(rd_rows(points))
 
 
 # ---------------------------------------------------------------------------
 # feature-ratio diagnostics
 
 
-def feature_ratio(checkpoint, image_hwc, lam_a, lam_b, channels=None, eps=1e-6):
+def feature_ratio(checkpoint, image_hwc, lam_a, lam_b, channels=None):
     """Elementwise ratio of bottleneck features at two tradeoffs.
 
     Returns a dict with per-channel ratio maps and (min, max, spatial
     variance) statistics.  Sites where the denominator feature is within
-    ``eps`` of zero are masked out of the statistics (and rendered mid-
+    1e-6 of zero are masked out of the statistics (and rendered mid-
     gray in the maps).  Channel-wise scalar scaling yields variance ~0;
     a modulated autoencoder generally does not.
     """
@@ -255,7 +258,7 @@ def feature_ratio(checkpoint, image_hwc, lam_a, lam_b, channels=None, eps=1e-6):
         if not 0 <= ch < total:
             raise ContractViolation(f"channel {ch} out of range [0, {total})")
         num, den = z_a[ch], z_b[ch]
-        valid = np.abs(den) > eps
+        valid = np.abs(den) > 1e-6
         ratio = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
         if valid.any():
             vals = ratio[valid]
@@ -280,13 +283,13 @@ def ratio_map_to_gray(ratio):
     return gray
 
 
-def write_ratio_maps(directory, report, prefix="ratio"):
+def write_ratio_maps(directory, report):
     """One grayscale PGM per requested channel; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for ch, ratio in zip(report["channels"], report["ratio_maps"]):
-        path = directory / f"{prefix}_ch{ch:03d}.pgm"
+        path = directory / f"ratio_ch{ch:03d}.pgm"
         write_pgm(path, ratio_map_to_gray(ratio))
         paths.append(path)
     return paths

@@ -19,6 +19,7 @@ from .exceptions import ContractViolation, SupportRangeError
 PROB_FLOOR = 2.0 ** -24
 TOTAL_FREQ = 1 << 16
 DEFAULT_SUPPORT = 255
+_SUPPORT_LIMIT = 1 << 14
 _FILTERS = (3, 3, 3)
 _INIT_SCALE = 10.0
 
@@ -50,9 +51,9 @@ class FactorizedDensity:
     codec model's parameter store.
     """
 
-    def __init__(self, params, support=DEFAULT_SUPPORT):
+    def __init__(self, params):
         self.params = params
-        self.support = int(support)
+        self.support = DEFAULT_SUPPORT
         self.channels = params["density.matrix0"].shape[0]
 
     def parameters(self):
@@ -74,7 +75,7 @@ class FactorizedDensity:
         return T.sigmoid(h)
 
 
-def init_density(channels, dtype=np.float32, rng=None, support=DEFAULT_SUPPORT):
+def init_density(channels, dtype=np.float32, rng=None):
     """Density whose initial cumulative ramps over roughly [-10, 10]."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -93,7 +94,7 @@ def init_density(channels, dtype=np.float32, rng=None, support=DEFAULT_SUPPORT):
             gates[f"density.gate{i}"] = T.Tensor(
                 np.zeros((channels, dims[i + 1], 1), dtype=dtype),
                 requires_grad=True)
-    return FactorizedDensity({**matrices, **biases, **gates}, support=support)
+    return FactorizedDensity({**matrices, **biases, **gates})
 
 
 def _channel_major(values):
@@ -265,15 +266,15 @@ def build_cdf_tables(density, support=None):
     return [CdfTable(_quantize_pmf(pmfs[ch]), support) for ch in range(density.channels)]
 
 
-def choose_support(density, start=DEFAULT_SUPPORT, limit=1 << 14):
-    """Smallest L from start, 2*start+1, ... that passes the mass check.
+def choose_support(density):
+    """Smallest L of 255, 511, 1023, ..., 16383 that passes the mass check.
 
     Deterministic in the density parameters, so encoder and decoder agree.
     """
-    support = int(start)
-    while support <= limit:
+    support = DEFAULT_SUPPORT
+    while support <= _SUPPORT_LIMIT:
         _, mass = _grid_pmfs(density, support)
         if float(mass.min()) >= 1.0 - 1e-6:
             return support
         support = support * 2 + 1
-    raise SupportRangeError(f"no support up to {limit} captures the probability mass")
+    raise SupportRangeError(f"no support up to {_SUPPORT_LIMIT} captures the probability mass")

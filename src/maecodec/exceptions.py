@@ -7,7 +7,8 @@ class MaecodecError(Exception):
 
 class ContractViolation(MaecodecError, ValueError):
     """An operation was called with arguments outside its contract
-    (shape mismatches, invalid axes, out-of-range tradeoffs, ...)."""
+    (shape mismatches, out-of-range tradeoffs, malformed config values,
+    ...)."""
 
 
 class NumericDomainError(MaecodecError, ValueError):

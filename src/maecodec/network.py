@@ -309,41 +309,31 @@ class CodecModel:
         return s_vec
 
 
-def param_count(model_or_config, tradeoffs=None):
-    """Exact per-component parameter counts.
+def param_count(config, tradeoffs=None):
+    """Exact per-component parameter counts of the architecture ``config``
+    over ``tradeoffs`` (default: the seven-point set).
 
-    Accepts a CodecModel or a CodecConfig (the count is a pure function
-    of the architecture).  Returns a dict with the shared autoencoder +
-    entropy model, the modulation overhead, the scaling-table overhead,
-    and derived totals.
+    Returns a dict with the shared autoencoder + entropy model, the
+    modulation overhead, the scaling-table overhead, and derived totals.
     """
-    if isinstance(model_or_config, CodecModel):
-        named = model_or_config.parameters()
-        shared = sum(t.size for n, t in named.items() if not n.startswith(TRADEOFF_PARAMS))
-        scaling = sum(t.size for n, t in named.items() if n.startswith("scale."))
-        modulation = sum(t.size for t in named.values()) - shared - scaling
-        n_tradeoffs = len(model_or_config.tradeoffs)
-    else:
-        config = model_or_config
-        tr = tradeoffs if tradeoffs is not None else TradeoffSet()
-        c = config.channels
-        shared = 0
-        in_ch = IMAGE_CHANNELS
-        for k, _, _ in ENCODER_STAGES:
-            shared += c * in_ch * k * k + c        # conv kernel + bias
-            shared += c + c * c                    # GDN beta + gamma
-            in_ch = c
-        for i, (k, _, _) in enumerate(DECODER_STAGES):
-            out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
-            shared += c * out_ch * k * k + out_ch  # tconv kernel + bias
-            if i < len(DECODER_STAGES) - 1:
-                shared += c + c * c                # IGDN beta + gamma
-        per_channel = (3 * 1 + 3 * 3 + 3 * 3 + 1 * 3) + (3 + 3 + 3 + 1) + (3 + 3 + 3)
-        shared += per_channel * c                  # factorized density
-        per_net = (1 * config.mod_hidden + config.mod_hidden) + (config.mod_hidden * c + c)
-        modulation = 6 * per_net
-        scaling = len(tr) * c
-        n_tradeoffs = len(tr)
+    tr = tradeoffs if tradeoffs is not None else TradeoffSet()
+    c = config.channels
+    shared = 0
+    in_ch = IMAGE_CHANNELS
+    for k, _, _ in ENCODER_STAGES:
+        shared += c * in_ch * k * k + c        # conv kernel + bias
+        shared += c + c * c                    # GDN beta + gamma
+        in_ch = c
+    for i, (k, _, _) in enumerate(DECODER_STAGES):
+        out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
+        shared += c * out_ch * k * k + out_ch  # tconv kernel + bias
+        if i < len(DECODER_STAGES) - 1:
+            shared += c + c * c                # IGDN beta + gamma
+    per_channel = (3 * 1 + 3 * 3 + 3 * 3 + 1 * 3) + (3 + 3 + 3 + 1) + (3 + 3 + 3)
+    shared += per_channel * c                  # factorized density
+    per_net = (1 * config.mod_hidden + config.mod_hidden) + (config.mod_hidden * c + c)
+    modulation = 6 * per_net
+    scaling = len(tr) * c
 
     mae_total = shared + modulation
     return {
@@ -352,5 +342,5 @@ def param_count(model_or_config, tradeoffs=None):
         "scaling": scaling,
         "mae_total": mae_total,
         "bottleneck_total": shared + scaling,
-        "independent_total": n_tradeoffs * shared,
+        "independent_total": len(tr) * shared,
     }

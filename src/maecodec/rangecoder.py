@@ -129,7 +129,8 @@ class Bitstream:
     """The .mae wire format: fixed 29-byte big-endian header plus the
     range-coded payload.  ``width``/``height`` are the original image
     dimensions before padding; ``lambda_index`` points into the model's
-    tradeoff set; ``model_hash`` is the checkpoint digest."""
+    tradeoff set; ``model_hash`` is the checkpoint digest.  The header
+    also carries MAGIC, VERSION and a reserved flags byte, always 0."""
 
     width: int
     height: int
@@ -139,12 +140,10 @@ class Bitstream:
     latent_width: int
     model_hash: int
     payload: bytes
-    version: int = VERSION
-    flags: int = 0
 
     def to_bytes(self):
         header = struct.pack(
-            HEADER_FMT, MAGIC, self.version, self.flags,
+            HEADER_FMT, MAGIC, VERSION, 0,
             self.width, self.height, self.lambda_index, self.channels,
             self.latent_height, self.latent_width, self.model_hash,
             len(self.payload),
@@ -162,6 +161,8 @@ class Bitstream:
             raise BitstreamError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise BitstreamError(f"unsupported bitstream version {version}")
+        if flags != 0:
+            raise BitstreamError(f"reserved flags byte is {flags:#04x}, must be 0")
         payload = data[HEADER_SIZE:]
         if len(payload) != payload_len:
             raise BitstreamError(
@@ -169,8 +170,7 @@ class Bitstream:
             )
         return cls(width=width, height=height, lambda_index=lambda_index,
                    channels=channels, latent_height=latent_h, latent_width=latent_w,
-                   model_hash=model_hash, payload=bytes(payload),
-                   version=version, flags=flags)
+                   model_hash=model_hash, payload=bytes(payload))
 
 
 def pack(q, meta, tables):
@@ -214,6 +214,5 @@ def unpack(bits, tables):
     meta = {
         "width": bits.width, "height": bits.height,
         "lambda_index": bits.lambda_index, "model_hash": bits.model_hash,
-        "version": bits.version, "flags": bits.flags,
     }
     return q.astype(np.int32), meta

@@ -32,12 +32,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         # an ndarray that already qualifies is kept as is; anything else
         # (0-d arrays included, which become 1-d) is converted
-        if not (type(data) is np.ndarray and dtype is None and data.ndim
+        if not (type(data) is np.ndarray and data.ndim
                 and data.dtype.type in _FLOAT_TYPES and data.flags.c_contiguous):
-            arr = np.asarray(data, dtype=dtype)
+            arr = np.asarray(data)
             if arr.dtype.type not in _FLOAT_TYPES:
                 arr = arr.astype(np.float64)
             data = np.ascontiguousarray(arr)
@@ -67,31 +67,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all arithmetic is routed through the module functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_constant(other, like=self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class _Node:
@@ -665,52 +640,30 @@ def div(a, b):
 # reductions and shape ops
 
 
-def _normalize_axes(axes, ndim):
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, (int, np.integer)):
-        axes = (int(axes),)
-    axes = tuple(int(a) for a in axes)
-    norm = []
-    for a in axes:
-        if not -ndim <= a < ndim:
-            raise ContractViolation(f"axis {a} is out of range for ndim {ndim}")
-        norm.append(a % ndim)
-    if len(set(norm)) != len(norm):
-        raise ContractViolation(f"duplicate axes in {axes}")
-    return tuple(sorted(norm))
-
-
-def _reduce(x, axes, mean):
-    axes = _normalize_axes(axes, x.ndim)
-    out_data = x.data.mean(axis=axes) if mean else x.data.sum(axis=axes)
-    out = Tensor(out_data)
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
+def _reduce(x, mean):
+    # every axis, named: axis=None could pair the terms differently
+    axes = tuple(range(x.ndim))
+    out = Tensor(x.data.mean(axis=axes) if mean else x.data.sum(axis=axes))
 
     def backward(g):
         if not x.requires_grad:
             return (None,)
-        shape = list(x.shape)
-        for a in axes:
-            shape[a] = 1
-        g_full = np.broadcast_to(g.reshape(shape), x.shape)
+        g_full = np.broadcast_to(g.reshape((1,) * x.ndim), x.shape)
         if mean:
-            g_full = g_full / count
+            g_full = g_full / x.size
         return (np.ascontiguousarray(g_full),)
 
     return _record(out, (x,), backward)
 
 
-def reduce_sum(x, axes=None):
-    """Exact sum over the named axes (all axes when None)."""
-    return _reduce(x, axes, mean=False)
+def reduce_sum(x):
+    """Exact sum of every element, as a one-element tensor."""
+    return _reduce(x, mean=False)
 
 
-def reduce_mean(x, axes=None):
-    """Arithmetic mean over the named axes (all axes when None)."""
-    return _reduce(x, axes, mean=True)
+def reduce_mean(x):
+    """Arithmetic mean of every element, as a one-element tensor."""
+    return _reduce(x, mean=True)
 
 
 def reshape(x, shape):
@@ -742,7 +695,7 @@ def transpose(x, axes):
 # gradient checking
 
 
-def grad_check(fn, inputs, eps=1e-4):
+def grad_check(fn, inputs):
     """Max relative error between analytic and central-difference gradients.
 
     ``fn`` maps the given tensors to a scalar Tensor and must be
@@ -758,6 +711,7 @@ def grad_check(fn, inputs, eps=1e-4):
         raise ContractViolation("grad_check needs a scalar-valued program")
     grads = tape.backward(loss)
 
+    eps = 1e-4  # central-difference step
     worst = 0.0
     for t in work:
         if not t.requires_grad:

@@ -69,6 +69,11 @@ class TrainingConfig:
         if self.lambda_index is not None and not 0 <= self.lambda_index < len(self.lambdas):
             raise ContractViolation(
                 f"lambda_index {self.lambda_index} out of range for {len(self.lambdas)} tradeoffs")
+        final = _final_iteration(self)
+        if not all(1 <= it < final for it in self.snapshot_iters):
+            raise ContractViolation(
+                f"snapshot iterations must lie in 1..{final - 1} (the final iteration is "
+                f"{final}), got {self.snapshot_iters}")
 
     @property
     def tradeoffs(self):
@@ -83,17 +88,31 @@ class TrainingConfig:
         return base * (0.5 if iteration > self.halve_at else 1.0)
 
 
+def _final_iteration(config):
+    """The iteration count train() ends at: total_iters, plus the joint
+    phase in mae mode (the bottleneck's scaling-only phases do not count)."""
+    if config.mode == "mae":
+        return config.total_iters + (len(config.lambdas) - 1) * config.phase2_iters
+    return config.total_iters
+
+
+def _tuple_of(kind):
+    return lambda value: tuple(kind(v) for v in value.split(",")) if value else ()
+
+
 _CONFIG_TYPES = {
     "mode": str,
     "channels": int, "mod_hidden": int, "crop_size": int, "batch_size": int,
     "total_iters": int, "halve_at": int, "phase2_iters": int, "seed": int,
     "lr_main": float, "lr_entropy": float,
     "lambda_index": int,
+    "lambdas": _tuple_of(float), "snapshot_iters": _tuple_of(int),
 }
 
 
 def load_training_config(path):
-    """Parse a flat key=value text file ('#' starts a comment)."""
+    """Parse a flat key=value text file ('#' starts a comment); lambdas and
+    snapshot_iters are comma-separated."""
     fields = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -102,14 +121,12 @@ def load_training_config(path):
         if "=" not in line:
             raise ContractViolation(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "lambdas":
-            fields[key] = tuple(float(v) for v in value.split(","))
-        elif key == "snapshot_iters":
-            fields[key] = tuple(int(v) for v in value.split(",")) if value else ()
-        elif key in _CONFIG_TYPES:
-            fields[key] = _CONFIG_TYPES[key](value)
-        else:
+        if key not in _CONFIG_TYPES:
             raise ContractViolation(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            fields[key] = _CONFIG_TYPES[key](value)
+        except ValueError as exc:
+            raise ContractViolation(f"{path}:{lineno}: {key}: {exc}") from exc
     return TrainingConfig(**fields)
 
 
@@ -174,10 +191,11 @@ class Adam:
     """Standard Adam with bias correction and a per-parameter learning-rate
     scale (the entropy model trains faster than the transforms)."""
 
-    def __init__(self, params, lr_scale=None, beta1=0.9, beta2=0.999, eps=1e-8):
+    _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr_scale=None):
         self.params = list(params)
         self.lr_scale = list(lr_scale) if lr_scale is not None else [1.0] * len(self.params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -186,7 +204,7 @@ class Adam:
         """One update; ``grads`` maps Tensor -> ndarray, ``lr`` is the base
         rate before per-parameter scaling."""
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self._BETA1, self._BETA2
         correction1 = 1.0 - b1 ** self.step_count
         correction2 = 1.0 - b2 ** self.step_count
         for p, m, v, scale in zip(self.params, self.m, self.v, self.lr_scale):
@@ -197,7 +215,7 @@ class Adam:
             v += (1.0 - b2) * np.square(g)
             m_hat = m / correction1
             v_hat = v / correction2
-            p.data -= (lr * scale) * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= (lr * scale) * m_hat / (np.sqrt(v_hat) + self._EPS)
 
 
 def adam_for_model(model, trainable=None, lr_entropy_scale=1.0):
@@ -272,12 +290,11 @@ class Checkpoint:
     iteration: int
     params: dict
     lambda_index: int | None = None
-    version: int = _CKPT_VERSION
 
     def to_bytes(self):
         names = sorted(self.params)
         header = {
-            "version": self.version,
+            "version": _CKPT_VERSION,
             "channels": self.config.channels,
             "mod_hidden": self.config.mod_hidden,
             "mode": self.mode,
@@ -289,7 +306,7 @@ class Checkpoint:
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         blob = bytearray()
         blob += _CKPT_MAGIC
-        blob += struct.pack(">BI", self.version, len(head))
+        blob += struct.pack(">BI", _CKPT_VERSION, len(head))
         blob += head
         for name in names:
             blob += np.ascontiguousarray(self.params[name], dtype="<f4").tobytes()
@@ -335,7 +352,6 @@ class Checkpoint:
                 iteration=int(header["iteration"]),
                 params=params,
                 lambda_index=None if lambda_index is None else int(lambda_index),
-                version=version,
             )
         except CheckpointError:
             raise
@@ -479,7 +495,8 @@ def train(config, dataset, log_path=None):
     Returns a list of (iteration, Checkpoint): requested snapshots plus the
     final state.  Iterations count the steps that train the transforms:
     total_iters, plus the joint phase in mae mode (the bottleneck's
-    scaling-only phases do not advance the count).  Deterministic:
+    scaling-only phases do not advance the count); TrainingConfig admits
+    snapshot iterations 1..final-1 only.  Deterministic:
     identical config and dataset give bit-identical checkpoints.
     """
     images = dataset
@@ -494,21 +511,21 @@ def train(config, dataset, log_path=None):
                        seed=config.seed)
     named = model.parameters()
     own = tradeoffs.lambdas[config.lambda_index if config.mode == "independent" else -1]
-    joint_iters = (len(tradeoffs) - 1) * config.phase2_iters if config.mode == "mae" else 0
+    final_iter = _final_iteration(config)
     # (trainable names, iterations, tradeoff per minibatch, base rate,
     # iterations counted before the phase); phase k draws its randomness
     # from _iteration_rng(seed, k, it)
     phases = [({n for n in named if not n.startswith(TRADEOFF_PARAMS)}, config.total_iters,
                lambda rng: own, config.lr_main, 0)]
     if config.mode == "mae":
-        phases.append((set(named), joint_iters, lambda rng: sample_tradeoff(tradeoffs, rng),
-                       config.lr_main, config.total_iters))
+        phases.append((set(named), final_iter - config.total_iters,
+                       lambda rng: sample_tradeoff(tradeoffs, rng), config.lr_main,
+                       config.total_iters))
     elif config.mode == "bottleneck":
         # the scale vectors step at the fast (entropy-model) rate: they must
         # travel far from 1
         phases += [({f"scale.{lam:g}"}, config.phase2_iters, lambda rng, lam=lam: lam,
                     config.lr_entropy, config.total_iters) for lam in tradeoffs.lambdas[:-1]]
-    final_iter = config.total_iters + joint_iters
 
     log = _TrainLog(log_path)
     ckpt_lambda = config.lambda_index if config.mode == "independent" else None
@@ -525,7 +542,7 @@ def train(config, dataset, log_path=None):
             for it in _train_steps(model, optimizer, params, config, images, phase=phase,
                                    iterations=iterations, pick_lambda=pick, log=log,
                                    base_lr=base_lr, start_count=start_count):
-                if it in config.snapshot_iters and it < final_iter:
+                if it in config.snapshot_iters:
                     series.append((it, snapshot(model, it, ckpt_lambda)))
     finally:
         log.close()

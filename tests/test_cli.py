@@ -5,7 +5,9 @@ import pytest
 
 from maecodec.cli import main
 from maecodec.image_io import write_ppm
+from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.synthetic import make_corpus
+from maecodec.training import snapshot
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,33 @@ def test_evaluate_stdout(workspace, capsys):
     assert out[1].startswith("mae,64,")
 
 
+def test_evaluate_prints_the_rows_it_writes(workspace, capsys):
+    argv = ["evaluate", "--checkpoint", str(workspace / "model.ckpt"),
+            "--images", str(workspace / "imgs")]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    csv_path = workspace / "evaluate.csv"
+    assert main(argv + ["--output", str(csv_path)]) == 0
+    assert printed == csv_path.read_text().splitlines()
+    assert len(printed) == 4  # header and one row per tradeoff of the mae checkpoint
+
+
+def test_evaluate_plain_checkpoint_serves_its_recorded_tradeoff(workspace, capsys):
+    model = CodecModel(CodecConfig(channels=16, mod_hidden=10),
+                       TradeoffSet((64.0, 512.0, 4096.0)), "plain", seed=1)
+    argv = ["evaluate", "--images", str(workspace / "imgs"), "--checkpoint"]
+    labelled, unlabelled = workspace / "plain1.ckpt", workspace / "plain.ckpt"
+    snapshot(model, 0, lambda_index=1).save(labelled)
+    snapshot(model, 0).save(unlabelled)
+    assert main(argv + [str(labelled)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[1].startswith("independent,512,")
+    # like rd-curve, a plain checkpoint with no recorded tradeoff is an error
+    assert main(argv + [str(unlabelled)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "\n" not in err.strip()
+
+
 def test_inspect_ratio(workspace, capsys):
     ckpt = str(workspace / "model.ckpt")
     out_dir = workspace / "ratios"
@@ -120,6 +149,16 @@ def test_inspect_ratio_channels_not_integers(workspace, capsys):
                  "--channels", "a", "--output", str(workspace / "ratios_bad")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --channels") and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("line", ["channels = abc", "lambdas = 64,x",
+                                  "snapshot_iters = 1,,2"])
+def test_malformed_config_value_is_an_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["param-count", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:1: ") and "\n" not in err.strip()
 
 
 def test_usage_error_exit_code_is_two():

@@ -8,7 +8,8 @@ import pytest
 
 from maecodec.codec import (MAX_PIXELS, LoadedCodec, compress, compress_image, decompress,
                             decompress_image, evaluate_image, feature_ratio,
-                            ratio_map_to_gray, rd_curve, write_rd_csv)
+                            operating_points, ratio_map_to_gray, rd_curve, rd_rows,
+                            write_rd_csv)
 from maecodec.exceptions import BitstreamError, ContractViolation, ModelHashMismatch
 from maecodec.image_io import read_image, read_ppm, write_ppm
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
@@ -154,6 +155,17 @@ class TestRdCurve:
         lines = path.read_text().splitlines()
         assert lines[0] == "method,lambda,bpp,psnr_db,msssim_db"
         assert len(lines) == 4
+        assert lines == [",".join(row) for row in rd_rows(points)]
+
+    def test_operating_points(self, trained):
+        assert operating_points(trained) == [0, 1, 2]
+        model = CodecModel(CodecConfig(channels=16, mod_hidden=10), TR3, "plain", seed=1)
+        assert operating_points(LoadedCodec(snapshot(model, 0, lambda_index=1))) == [1]
+        unlabelled = LoadedCodec(snapshot(model, 0))
+        with pytest.raises(ContractViolation, match="does not record"):
+            operating_points(unlabelled)
+        with pytest.raises(ContractViolation, match="does not record"):
+            rd_curve([unlabelled], [make_image(60, 64, 64)])
 
 
 class TestFeatureRatio:

@@ -97,7 +97,7 @@ class TestDensity:
         named = density.parameters()
 
         def fn(zv, *ps):
-            rebuilt = FactorizedDensity(dict(zip(named, ps)), support=density.support)
+            rebuilt = FactorizedDensity(dict(zip(named, ps)))
             return rate_bits(zv, rebuilt)
 
         assert T.grad_check(fn, [z] + list(named.values())) < 1e-4

@@ -8,7 +8,7 @@ import pytest
 from maecodec import tensor as T
 from maecodec.entropy import quantize, rate_bits
 from maecodec.exceptions import ContractViolation
-from maecodec.network import CodecConfig, CodecModel, TradeoffSet, param_count
+from maecodec.network import MODES, CodecConfig, CodecModel, TradeoffSet, param_count
 
 DESK = CodecConfig(channels=16, mod_hidden=20)
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
@@ -241,11 +241,14 @@ class TestParamCount:
         assert 6.7 <= ratio <= 7.0
 
     def test_count_is_pure_function_of_config(self):
-        model = CodecModel(CodecConfig(channels=24), TradeoffSet((1.0, 2.0)), "mae")
-        from_model = param_count(model)
-        from_config = param_count(CodecConfig(channels=24), TradeoffSet((1.0, 2.0)))
-        assert from_model["shared"] == from_config["shared"]
-        assert from_model["modulation"] == from_config["modulation"]
+        config, tradeoffs = CodecConfig(channels=24), TradeoffSet((1.0, 2.0))
+        counts = param_count(config, tradeoffs)
+        sizes = {mode: sum(t.size for t in CodecModel(config, tradeoffs, mode).parameters().values())
+                 for mode in MODES}
+        assert sizes["plain"] == counts["shared"]
+        assert sizes["mae"] == counts["mae_total"]
+        assert sizes["bottleneck"] == counts["bottleneck_total"]
+        assert len(tradeoffs) * sizes["plain"] == counts["independent_total"]
 
     def test_totals_are_consistent(self):
         counts = param_count(CodecConfig(channels=64))

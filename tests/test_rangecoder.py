@@ -208,3 +208,13 @@ class TestBitstream:
             Bitstream.from_bytes(bytes(raw[:-1]))
         with pytest.raises(BitstreamError, match="header"):
             Bitstream.from_bytes(b"MAE1")
+
+    def test_reserved_flags_byte_must_be_zero(self):
+        # a nonzero byte used to be ignored: the stream still decoded
+        bits = Bitstream(width=1, height=1, lambda_index=0, channels=1,
+                         latent_height=1, latent_width=1, model_hash=0, payload=b"xy")
+        raw = bytearray(bits.to_bytes())
+        assert raw[5] == 0
+        raw[5] = 0xA5
+        with pytest.raises(BitstreamError, match="flags"):
+            Bitstream.from_bytes(bytes(raw))

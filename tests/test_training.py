@@ -444,3 +444,32 @@ class TestConfigFile:
         # used to label the final mae checkpoint with a negative iteration
         with pytest.raises(ContractViolation, match="iteration counts"):
             tiny_config(phase2_iters=-2)
+
+    @pytest.mark.parametrize("line", ["channels = abc", "lambdas = 64,x",
+                                      "snapshot_iters = 1,,2"])
+    def test_malformed_value_rejected(self, tmp_path, line):
+        # used to end in a bare ValueError from int() or float()
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"mode = mae\n{line}\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ContractViolation, match=f"bad.cfg:2: {key}: "):
+            load_training_config(path)
+
+    def test_snapshot_iterations_must_fall_inside_the_run(self):
+        # mae: 3 top-tradeoff iterations and no joint ones, final iteration 3;
+        # the bad entries used to be dropped silently
+        for snaps in ((50, -1, 2), (0,), (3,)):
+            with pytest.raises(ContractViolation, match=r"snapshot iterations must lie in 1\.\.2"):
+                tiny_config(total_iters=3, halve_at=3, phase2_iters=0, snapshot_iters=snaps)
+        # bottleneck: iteration 4 lies in the scale phases, which do not count
+        with pytest.raises(ContractViolation, match=r"1\.\.2"):
+            tiny_config(mode="bottleneck", total_iters=3, halve_at=3, snapshot_iters=(4,))
+        # mae: the joint phase counts, up to 4 + 2 * 2 = 8
+        assert tiny_config(snapshot_iters=(1, 7)).snapshot_iters == (1, 7)
+        with pytest.raises(ContractViolation, match=r"1\.\.7"):
+            tiny_config(snapshot_iters=(8,))
+
+    def test_bottleneck_snapshot_in_the_top_phase(self):
+        cfg = tiny_config(mode="bottleneck", total_iters=3, halve_at=3, phase2_iters=1,
+                          snapshot_iters=(2,))
+        assert [it for it, _ in train(cfg, make_corpus(2, 32, 32))] == [2, 3]
