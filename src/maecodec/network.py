@@ -1,22 +1,20 @@
-"""The shared convolutional autoencoder, the tradeoff-conditioned
-modulation networks, and the bottleneck-scaling baseline.
+"""The shared convolutional autoencoder and its tradeoff conditioning.
 
 Encoder: three conv stages (9x9 stride 4, then two 5x5 stride 2), each
 followed by GDN, for a total downsampling factor of 16.  Decoder mirrors
 with transposed convs and IGDN; the final stage maps back to RGB.
 
-In "mae" mode every encoder conv output is multiplied by a per-channel
-vector produced from the normalized tradeoff by a small perceptron, and
-the decoder demodulates the dequantized latent plus the two intermediate
-transposed-conv outputs.  In "bottleneck" mode a plain autoencoder is
-combined with learned per-tradeoff scaling vectors applied to the latent
-before quantization and inverted after.
+The variants differ only in their row of ``CONDITIONING``, the
+per-tradeoff vectors that multiply the channels at its sites: none in
+"plain"; perceptrons of the normalized tradeoff at every site but the
+latent in "mae"; the tradeoff's learned vector on the latent and its
+reciprocal on the decoder's input in "bottleneck".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +23,12 @@ from .entropy import FactorizedDensity, init_density
 from .exceptions import ContractViolation
 from .gdn import BETA_FLOOR, gdn_forward, igdn_forward
 
-MODES = ("mae", "plain", "bottleneck")
-
 # (kernel, stride, padding) per encoder stage; the decoder mirrors them
 ENCODER_STAGES = ((9, 4, 4), (5, 2, 2), (5, 2, 2))
 DECODER_STAGES = ENCODER_STAGES[::-1]
 DOWNSAMPLE = 16
 IMAGE_CHANNELS = 3
 
-# name prefixes of the tradeoff-specific parameters (modulation networks,
-# bottleneck scale vectors); every other parameter serves all tradeoffs
-TRADEOFF_PARAMS = ("modulate", "demodulate", "scale.")
 SCALE_FLOOR = 1e-4
 
 
@@ -98,30 +91,49 @@ class ModulationNet:
     w2 = property(lambda self: self.params[self.prefix + "w2"])
     b2 = property(lambda self: self.params[self.prefix + "b2"])
 
-    @property
-    def out_channels(self):
-        return self.w2.shape[1]
-
     def __call__(self, lambda_hat):
         if not 0.0 < lambda_hat <= 1.0:
             raise ContractViolation(f"normalized tradeoff must be in (0, 1], got {lambda_hat}")
         x = T.Tensor(np.array([[lambda_hat]], dtype=self.w1.dtype))
         h = T.relu(T.affine(x, self.w1, self.b1))
-        return T.reshape(T.exp(T.affine(h, self.w2, self.b2)), (self.out_channels,))
+        return T.reshape(T.exp(T.affine(h, self.w2, self.b2)), (self.w2.shape[1],))
+
+
+# conditioning sites, in forward order: after each encoder conv (before its
+# GDN), the latent (after the last GDN), the decoder's input, and after each
+# of the first two transposed convs (before its IGDN).  CONDITIONING maps a
+# mode to {site: (kind, ref)}, the per-tradeoff vector that multiplies the
+# channels there: a "perceptron" of lambda / max(lambdas), the ModulationNet
+# with tensors ref + w1, b1, w2, b2; the tradeoff's own "learned" vector
+# ref + f"{lam:g}"; or the "reciprocal" of site ref's vector.
+ENCODER_SITES = ("encoder0", "encoder1", "encoder2", "latent")
+DECODER_SITES = ("decoder_input", "decoder0", "decoder1")
+CONDITIONING = {
+    "mae": {
+        "encoder0": ("perceptron", "modulate0."),
+        "encoder1": ("perceptron", "modulate1."),
+        "encoder2": ("perceptron", "modulate2."),
+        "decoder_input": ("perceptron", "demodulate0."),
+        "decoder0": ("perceptron", "demodulate1."),
+        "decoder1": ("perceptron", "demodulate2."),
+    },
+    "plain": {},
+    # finer effective quantization bins for larger s
+    "bottleneck": {"latent": ("learned", "scale."), "decoder_input": ("reciprocal", "latent")},
+}
+MODES = tuple(CONDITIONING)
 
 
 class CodecModel:
     """The parameters and forward maps of one trained codec.
 
-    ``mode`` selects the variant: "mae" carries modulation networks,
-    "bottleneck" carries per-tradeoff scaling vectors, "plain" is the
-    bare autoencoder used for independently trained operating points.
-    ``encode`` and ``decode`` take a tradeoff from the model's set and
-    apply the mode's conditioning themselves.
+    ``mode`` selects the variant, a row of ``CONDITIONING``.  ``encode``
+    and ``decode`` take a tradeoff from the model's set and multiply the
+    channels at each conditioning site by the vector the row holds there.
 
     Every learnable tensor lives in one name -> Tensor dict, under its
-    checkpoint name; the forward maps, the density and the modulation
-    networks read their tensors from it by name.
+    checkpoint name; the forward maps, the density and the conditioning
+    vectors read their tensors from it by name.
     """
 
     def __init__(self, config, tradeoffs, mode, dtype=np.float32, seed=0):
@@ -130,11 +142,12 @@ class CodecModel:
         self.config = config
         self.tradeoffs = tradeoffs
         self.mode = mode
+        self.conditioning = CONDITIONING[mode]
         self.dtype = np.dtype(dtype).type
         rng = np.random.default_rng([int(seed), 0x6D6165])
 
         # created in the order of their random draws
-        c = config.channels
+        c, hidden = config.channels, config.mod_hidden
         p = self._params = {}
         in_ch = IMAGE_CHANNELS
         for i, (k, _, _) in enumerate(ENCODER_STAGES):
@@ -157,29 +170,30 @@ class CodecModel:
         p.update(density.params)
         self.density = FactorizedDensity(p)
 
-        self.mod_nets, self.demod_nets = [], []
-        if mode == "mae":
-            # small, nonzero second layer: starts close to exp(0) = 1 while
-            # keeping ReLU units alive so gradients reach the first layer
-            hidden = config.mod_hidden
-            for label, nets in (("modulate", self.mod_nets), ("demodulate", self.demod_nets)):
-                for i in range(3):
-                    prefix = f"{label}{i}."
-                    p[prefix + "w1"] = self._new(rng.normal(0.0, 0.5, size=(1, hidden)))
-                    p[prefix + "b1"] = self._new(np.full(hidden, 0.1))
-                    p[prefix + "w2"] = self._new(rng.normal(0.0, 0.01, size=(hidden, c)))
-                    p[prefix + "b2"] = self._new(np.zeros(c))
-                    nets.append(ModulationNet(p, prefix))
-
-        if mode == "bottleneck":
-            # the names are checkpoint keys: tradeoffs that agree to 6
-            # significant digits would share one vector
-            names = [f"scale.{lam:g}" for lam in tradeoffs]
-            if len(set(names)) != len(names):
-                raise ContractViolation(
-                    f"tradeoffs {tradeoffs.lambdas} give colliding scale-vector names {names}")
-            for name in names:
-                p[name] = self._new(np.ones(c))
+        # conditioning parameter name -> the tradeoff it serves alone, or None
+        self.tradeoff_params = {}
+        for kind, ref in self.conditioning.values():
+            new = {}  # name -> (the tradeoff it serves, initial values)
+            if kind == "perceptron":
+                # small, nonzero second layer: starts close to exp(0) = 1 while
+                # keeping ReLU units alive so gradients reach the first layer
+                values = (rng.normal(0.0, 0.5, size=(1, hidden)), np.full(hidden, 0.1),
+                          rng.normal(0.0, 0.01, size=(hidden, c)), np.zeros(c))
+                new = {ref + t: (None, v) for t, v in zip(("w1", "b1", "w2", "b2"), values)}
+            elif kind == "learned":
+                # the names are checkpoint keys: tradeoffs that agree to 6
+                # significant digits would share one vector
+                new = {f"{ref}{lam:g}": (lam, np.ones(c)) for lam in tradeoffs}
+                if len(new) != len(tradeoffs):
+                    raise ContractViolation(
+                        f"tradeoffs {tradeoffs.lambdas} give colliding vector names {list(new)}")
+            for name, (lam, values) in new.items():
+                p[name], self.tradeoff_params[name] = self._new(values), lam
+        # the perceptrons on each side, for inspection
+        self.mod_nets, self.demod_nets = (
+            [ModulationNet(p, self.conditioning[site][1]) for site in sites
+             if self.conditioning.get(site, ("",))[0] == "perceptron"]
+            for sites in (ENCODER_SITES, DECODER_SITES))
 
     def _new(self, values):
         return T.Tensor(values.astype(self.dtype), requires_grad=True)
@@ -216,97 +230,82 @@ class CodecModel:
 
     def project(self):
         """Clamp parameters back into their feasible sets, in place: GDN
-        offsets to >= BETA_FLOOR, GDN couplings and scale vectors to their
-        floors.  Called after every optimizer step."""
+        offsets to >= BETA_FLOOR, GDN couplings and learned per-tradeoff
+        vectors to their floors.  Called after every optimizer step."""
         for name, t in self._params.items():
             if name.endswith(".beta"):
                 np.maximum(t.data, BETA_FLOOR, out=t.data)
             elif name.endswith(".gamma"):
                 np.maximum(t.data, 0.0, out=t.data)
-            elif name.startswith("scale."):
+            elif self.tradeoff_params.get(name) is not None:
                 np.maximum(t.data, SCALE_FLOOR, out=t.data)
 
     # -- forward maps ----------------------------------------------------------
 
-    def modulation_vectors(self, lambda_hat):
-        """Encoder-side per-stage positive scaling vectors m_k(lambda)."""
-        return [net(lambda_hat) for net in self.mod_nets]
+    def _condition(self, h, site, lam):
+        """``h`` times the mode's vector at ``site``, if it has one there."""
+        return T.channel_scale(h, self._vector(site, lam)) if site in self.conditioning else h
 
-    def demodulation_vectors(self, lambda_hat):
-        """Decoder-side vectors; parameters are independent of the encoder's."""
-        return [net(lambda_hat) for net in self.demod_nets]
+    def _vector(self, site, lam):
+        """The mode's vector at ``site`` for tradeoff ``lam``, built here."""
+        kind, ref = self.conditioning[site]
+        if kind == "perceptron":
+            return ModulationNet(self._params, ref)(self.tradeoffs.normalized(lam))
+        if kind == "reciprocal":
+            v = self._vector(ref, lam)
+            return T.div(T.Tensor(np.ones_like(v.data)), v)
+        s_vec = self._params[f"{ref}{float(lam):g}"]  # learned
+        if np.any(s_vec.data <= 0):
+            idx = int(np.argwhere(s_vec.data <= 0)[0][0])
+            raise ContractViolation(f"scaling vector must be strictly positive; entry {idx} is not")
+        return s_vec
 
     def encode(self, x, lam):
         """Image batch (N, 3, H, W) in [0, 1] -> latent (N, C, H/16, W/16)
         at tradeoff ``lam``, a member of the model's set.
 
-        Spatial sides must be multiples of 16 (the caller pads).  In mode
-        "mae" the stages are modulated by the normalized tradeoff; in mode
-        "bottleneck" the latent is scaled by the tradeoff's vector.
+        Spatial sides must be multiples of 16 (the caller pads).
         """
-        lambda_hat = self.tradeoffs.normalized(lam)
+        self.tradeoffs.normalized(lam)  # rejects a tradeoff outside the set
         if x.ndim != 4 or x.shape[1] != IMAGE_CHANNELS:
             raise ContractViolation(f"encode expects (N, 3, H, W), got {x.shape}")
         if x.shape[2] % DOWNSAMPLE or x.shape[3] % DOWNSAMPLE:
             raise ContractViolation(
                 f"spatial sides must be multiples of {DOWNSAMPLE}, got {x.shape[2]}x{x.shape[3]}"
             )
-        mods = self.modulation_vectors(lambda_hat) if self.mode == "mae" else None
         p = self._params
         h = x
         for i, (_, stride, pad) in enumerate(ENCODER_STAGES):
             h = T.channel_shift(T.conv2d(h, p[f"encoder.conv{i}.kernel"], stride, pad),
                                 p[f"encoder.conv{i}.bias"])
-            if mods is not None:
-                h = T.channel_scale(h, mods[i])
+            h = self._condition(h, ENCODER_SITES[i], lam)
             h = gdn_forward(h, p[f"encoder.gdn{i}.beta"], p[f"encoder.gdn{i}.gamma"])
-        if self.mode == "bottleneck":
-            # finer effective quantization bins for larger s
-            h = T.channel_scale(h, self._scale(lam))
-        return h
+        return self._condition(h, ENCODER_SITES[-1], lam)
 
     def decode(self, z, lam, clamp=False):
         """Latent (N, C, h, w) -> image batch (N, 3, 16h, 16w) at tradeoff
         ``lam``, a member of the model's set.
 
-        Mode "bottleneck" first undoes the scaling with the elementwise
-        reciprocal 1 / s; mode "mae" demodulates.  ``clamp`` clips to
-        [0, 1] for inference; the training path leaves the output
-        unclamped so gradients flow.
+        ``clamp`` clips to [0, 1] for inference; the training path leaves
+        the output unclamped so gradients flow.
         """
-        lambda_hat = self.tradeoffs.normalized(lam)
+        self.tradeoffs.normalized(lam)
         if z.ndim != 4 or z.shape[1] != self.config.channels:
             raise ContractViolation(
                 f"decode expects (N, {self.config.channels}, h, w), got {z.shape}"
             )
-        h = z
-        if self.mode == "bottleneck":
-            s_vec = self._scale(lam)
-            h = T.channel_scale(h, T.div(T.Tensor(np.ones_like(s_vec.data)), s_vec))
-        demods = None
-        if self.mode == "mae":
-            demods = self.demodulation_vectors(lambda_hat)
-            h = T.channel_scale(h, demods[0])
+        h = self._condition(z, DECODER_SITES[0], lam)
         p = self._params
         for i, (_, stride, pad) in enumerate(DECODER_STAGES):
             h = T.channel_shift(
                 T.conv2d_transpose(h, p[f"decoder.tconv{i}.kernel"], stride, pad),
                 p[f"decoder.tconv{i}.bias"])
             if i < len(DECODER_STAGES) - 1:
-                if demods is not None:
-                    h = T.channel_scale(h, demods[i + 1])
+                h = self._condition(h, DECODER_SITES[i + 1], lam)
                 h = igdn_forward(h, p[f"decoder.igdn{i}.beta"], p[f"decoder.igdn{i}.gamma"])
         if clamp:
             h = T.Tensor(np.clip(h.data, 0.0, 1.0))
         return h
-
-    def _scale(self, lam):
-        """The tradeoff's bottleneck scale vector, checked strictly positive."""
-        s_vec = self._params[f"scale.{float(lam):g}"]
-        if np.any(s_vec.data <= 0):
-            idx = int(np.argwhere(s_vec.data <= 0)[0][0])
-            raise ContractViolation(f"scaling vector must be strictly positive; entry {idx} is not")
-        return s_vec
 
 
 def param_count(config, tradeoffs=None):
@@ -314,7 +313,8 @@ def param_count(config, tradeoffs=None):
     over ``tradeoffs`` (default: the seven-point set).
 
     Returns a dict with the shared autoencoder + entropy model, the
-    modulation overhead, the scaling-table overhead, and derived totals.
+    conditioning overheads of modes mae ("modulation") and bottleneck
+    ("scaling"), and derived totals.
     """
     tr = tradeoffs if tradeoffs is not None else TradeoffSet()
     c = config.channels
@@ -332,8 +332,9 @@ def param_count(config, tradeoffs=None):
     per_channel = (3 * 1 + 3 * 3 + 3 * 3 + 1 * 3) + (3 + 3 + 3 + 1) + (3 + 3 + 3)
     shared += per_channel * c                  # factorized density
     per_net = (1 * config.mod_hidden + config.mod_hidden) + (config.mod_hidden * c + c)
-    modulation = 6 * per_net
-    scaling = len(tr) * c
+    size = {"perceptron": per_net, "learned": len(tr) * c, "reciprocal": 0}
+    modulation, scaling = (sum(size[kind] for kind, _ in CONDITIONING[mode].values())
+                           for mode in ("mae", "bottleneck"))
 
     mae_total = shared + modulation
     return {

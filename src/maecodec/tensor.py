@@ -537,10 +537,6 @@ def square(x):
     return _unary(x, np.square, lambda v, o: 2.0 * v)
 
 
-def tanh(x):
-    return _unary(x, np.tanh, lambda v, o: 1.0 - o * o)
-
-
 def sigmoid(x):
     return _unary(x, _expit, lambda v, o: o * (1.0 - o))
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .entropy import add_uniform_noise, rate_bits
 from .exceptions import CheckpointError, ContractViolation, DatasetError
-from .network import TRADEOFF_PARAMS, CodecConfig, CodecModel, TradeoffSet
+from .network import CodecConfig, CodecModel, TradeoffSet
 
 _CKPT_MAGIC = b"MAEC"
 _CKPT_VERSION = 1
@@ -123,6 +123,8 @@ def load_training_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise ContractViolation(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in fields:
+            raise ContractViolation(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             fields[key] = _CONFIG_TYPES[key](value)
         except ValueError as exc:
@@ -515,7 +517,7 @@ def train(config, dataset, log_path=None):
     # (trainable names, iterations, tradeoff per minibatch, base rate,
     # iterations counted before the phase); phase k draws its randomness
     # from _iteration_rng(seed, k, it)
-    phases = [({n for n in named if not n.startswith(TRADEOFF_PARAMS)}, config.total_iters,
+    phases = [({n for n in named if n not in model.tradeoff_params}, config.total_iters,
                lambda rng: own, config.lr_main, 0)]
     if config.mode == "mae":
         phases.append((set(named), final_iter - config.total_iters,
@@ -524,8 +526,9 @@ def train(config, dataset, log_path=None):
     elif config.mode == "bottleneck":
         # the scale vectors step at the fast (entropy-model) rate: they must
         # travel far from 1
-        phases += [({f"scale.{lam:g}"}, config.phase2_iters, lambda rng, lam=lam: lam,
-                    config.lr_entropy, config.total_iters) for lam in tradeoffs.lambdas[:-1]]
+        phases += [({n for n, owner in model.tradeoff_params.items() if owner == lam},
+                    config.phase2_iters, lambda rng, lam=lam: lam, config.lr_entropy,
+                    config.total_iters) for lam in tradeoffs.lambdas[:-1]]
 
     log = _TrainLog(log_path)
     ckpt_lambda = config.lambda_index if config.mode == "independent" else None

@@ -123,10 +123,14 @@ def job_outputs(method, lambda_index, seed):
 
 def independent_top(ckpt):
     """The independent top-tradeoff model held in a bottleneck checkpoint:
-    its scale vectors dropped, labelled plain at the top index."""
+    its conditioning parameters (the scale vectors) dropped, labelled plain
+    at the top index."""
+    from maecodec.training import model_from_checkpoint
+
+    conditioning = model_from_checkpoint(ckpt).tradeoff_params
     return dataclasses.replace(
         ckpt, mode="plain", lambda_index=len(ckpt.lambdas) - 1,
-        params={n: b for n, b in ckpt.params.items() if not n.startswith("scale.")})
+        params={n: b for n, b in ckpt.params.items() if n not in conditioning})
 
 
 def run_job(method, lambda_index, seed):

@@ -43,8 +43,8 @@ class TestModulation:
         for net in m.mod_nets + m.demod_nets:
             net.w2.data[:] = 0.0
             net.b2.data[:] = 0.0
-        for vec in m.modulation_vectors(0.5) + m.demodulation_vectors(0.5):
-            np.testing.assert_array_equal(vec.data, np.ones(DESK.channels, dtype=np.float32))
+        for net in m.mod_nets + m.demod_nets:
+            np.testing.assert_array_equal(net(0.5).data, np.ones(DESK.channels, dtype=np.float32))
 
     def test_positive_for_many_draws(self):
         # 10^4 random parameter draws x tradeoff grid, every entry > 0
@@ -58,34 +58,33 @@ class TestModulation:
                 net.w2.data[:] = rng.normal(size=net.w2.shape)
                 net.b2.data[:] = rng.normal(size=net.b2.shape)
             for lam_hat in grid:
-                for vec in m.modulation_vectors(float(lam_hat)):
-                    assert (vec.data > 0).all()
+                for net in m.mod_nets:
+                    assert (net(float(lam_hat)).data > 0).all()
 
     def test_out_of_range_tradeoff(self):
         m = desk_model()
         with pytest.raises(ContractViolation):
-            m.modulation_vectors(0.0)
+            m.mod_nets[0](0.0)
         with pytest.raises(ContractViolation):
-            m.modulation_vectors(1.5)
+            m.mod_nets[0](1.5)
 
     def test_vector_extent_matches_channels(self):
         m = desk_model()
-        for vec in m.modulation_vectors(1.0) + m.demodulation_vectors(1.0):
-            assert vec.shape == (DESK.channels,)
+        for net in m.mod_nets + m.demod_nets:
+            assert net(1.0).shape == (DESK.channels,)
 
     def test_demodulation_not_reciprocal_of_modulation(self):
         # decoder vectors are independent parameters, not 1/m
         m = desk_model(seed=3)
-        mods = m.modulation_vectors(0.25)
-        demods = m.demodulation_vectors(0.25)
-        assert np.abs(mods[0].data * demods[0].data - 1.0).max() > 1e-6
+        mod, demod = m.mod_nets[0](0.25), m.demod_nets[0](0.25)
+        assert np.abs(mod.data * demod.data - 1.0).max() > 1e-6
 
     def test_smoothness_in_lambda_hat(self):
         m = desk_model(seed=1)
         for net in m.mod_nets:
             net.w2.data[:] = np.random.default_rng(2).normal(0, 0.3, size=net.w2.shape)
         grid = np.linspace(0.05, 1.0, 200)
-        vecs = np.stack([m.modulation_vectors(float(g))[0].data for g in grid])
+        vecs = np.stack([m.mod_nets[0](float(g)).data for g in grid])
         step = np.abs(np.diff(vecs, axis=0)).max()
         assert step < 0.05  # continuous: vanishing change for vanishing step
 

@@ -79,6 +79,27 @@ class TestRdLoss:
     def test_full_loss_grad_check(self, seed):
         assert full_loss_grad_error(seed) < 1e-4
 
+    def test_bottleneck_scale_grad_check(self):
+        # the only path through a reciprocal site: each scale vector
+        # multiplies the latent and its reciprocal the decoder's input
+        tr = TradeoffSet((0.25, 1.0))
+        r = np.random.default_rng(7)
+        model = CodecModel(CodecConfig(channels=3, mod_hidden=3), tr, "bottleneck",
+                           seed=7, dtype=np.float64)
+        names = list(model.tradeoff_params)
+        assert names == ["scale.0.25", "scale.1"]
+        named = model.parameters()
+        for name in names:
+            named[name].data[:] = r.uniform(0.5, 2.0, size=3)
+        x = T.Tensor(r.random((1, 3, 16, 16)))
+        noise = T.Tensor(r.uniform(-0.5, 0.5, size=(1, 3, 1, 1)))
+        for lam in tr:
+            def fn(*ps):
+                model.adopt_parameters(dict(zip(names, ps)))
+                return rd_terms(x, lam, model, noise=noise)[0]
+
+            assert T.grad_check(fn, [named[n] for n in names]) < 1e-4
+
 
 def full_loss_grad_error(seed):
     """Finite-difference error of the complete objective on a 16x16 crop.
@@ -419,6 +440,13 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("wibble = 3\n")
         with pytest.raises(ContractViolation, match="wibble"):
+            load_training_config(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        # the last line used to win silently
+        path = tmp_path / "dup.cfg"
+        path.write_text("channels = 8\nmode = mae\nchannels = 16\n")
+        with pytest.raises(ContractViolation, match="dup.cfg:3: duplicate key 'channels'"):
             load_training_config(path)
 
     def test_invariants_enforced(self):
