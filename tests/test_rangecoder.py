@@ -112,6 +112,46 @@ class TestErrors:
             rc_decode(payload, [], 9)
 
 
+class TestHostileDecode:
+    """What the decoder makes of garbage, pinned, so a decoder rewrite
+    cannot silently change which payloads decode or how the rest fail."""
+
+    def test_garbage_payload_digest(self):
+        digest = hashlib.sha256()
+        decoded = clamped = 0
+        for seed in range(300):
+            r = np.random.default_rng(9000 + seed)
+            sizes = [int(k) for k in r.integers(2, 40, size=int(r.integers(1, 5)))]
+            if seed % 3 == 0:
+                sizes[int(r.integers(len(sizes)))] = 511
+            tables = [random_table(r, k) for k in sizes]
+            count = len(tables) * int(r.integers(0, 24))
+            payload = bytearray(r.integers(0, 256, size=int(r.integers(0, 65)), dtype=np.uint8))
+            if seed % 4 == 1:
+                # a clean payload of at most 64 bytes with one byte changed
+                syms = np.concatenate([r.integers(0, t.num_symbols, size=count // len(tables))
+                                       for t in tables])
+                payload = bytearray(rc_encode(syms, tables))[:64]
+                payload[int(r.integers(len(payload)))] ^= int(r.integers(1, 256))
+            if seed % 4 == 0:
+                # code // r exceeds TOTAL_FREQ - 1 on the first symbol
+                payload[:5] = b"\xff" * min(5, len(payload))
+            code = int.from_bytes(payload[:5], "big") & 0xFFFFFFFF
+            clamped += len(payload) >= 5 and code // (0xFFFFFFFF // TOTAL_FREQ) >= TOTAL_FREQ
+            try:
+                out = rc_decode(bytes(payload), tables, count)
+            except CodingError as exc:
+                digest.update(b"error " + str(exc).encode() + b"\n")
+            else:
+                decoded += 1
+                digest.update(b"symbols " + np.asarray(out, dtype="<i8").tobytes() + b"\n")
+        # 36 decode silently (a payload has no checksum); 66 open with a
+        # code // r above TOTAL_FREQ - 1
+        assert (decoded, clamped) == (36, 66)
+        assert digest.hexdigest() == \
+            "f786f30f8333e13aef327aa8b4a67ef286ba34b6f30a7ebf5d07fd3b2eb1ffcf"
+
+
 class TestAgainstExactCoder:
     def test_cross_check_100_streams(self):
         for seed in range(100):
