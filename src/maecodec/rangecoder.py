@@ -1,18 +1,26 @@
 """Byte-wise renormalizing range coder and the .mae bitstream container.
 
-The coder keeps a 32-bit range and a low accumulator with one carry bit,
-emitting bytes through a carry-aware cache.  Overhead over the table
+The coder keeps a 32-bit range and a low accumulator with one carry bit.
+A settled byte goes out at once; a byte that may still take a carry
+waits as ``cache``, followed by a count of pending 0xFF bytes, and both
+go out when the next byte settles.  Overhead over the table
 cross-entropy is one leading byte plus a five-byte flush, comfortably
 inside the 64-bit bound the tests enforce.  Encoder and decoder consume
 exactly the same number of bytes, so payloads are self-delimiting given
 the symbol count.  A stream is one equal-length run of symbols per CDF
 table, in order; a latent is coded as one run per channel.
+
+Both loops run over plain Python ints, built per run: the encoder
+gathers each symbol's cumulative start and frequency with numpy first,
+and the decoder finds a symbol with one index into a 2^16-entry table
+that maps every cumulative value to its symbol (the table-driven decode
+of J. Duda, "Asymmetric numeral systems", arXiv:1311.2540), built for
+one CDF table at a time.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,7 @@ import numpy as np
 from .entropy import TOTAL_FREQ
 from .exceptions import BitstreamError, CodingError, ContractViolation
 
+_FREQ_BITS = TOTAL_FREQ.bit_length() - 1
 _TOP = 1 << 24
 _MASK32 = (1 << 32) - 1
 
@@ -39,19 +48,6 @@ def _run_length(count, tables):
         f"{count} symbols do not split into {len(tables)} equal table runs")
 
 
-def _shift_low(low, cache, cache_size, out):
-    """Emit the settled top byte of ``low``; a byte that may still take a
-    carry waits in ``cache`` (followed by ``cache_size - 1`` 0xFF bytes)."""
-    low32 = low & _MASK32
-    carry = low >> 32
-    if low32 < 0xFF000000 or carry:
-        out.append((cache + carry) & 0xFF)
-        out.extend(((0xFF + carry) & 0xFF,) * (cache_size - 1))
-        cache_size = 0
-        cache = low32 >> 24
-    return (low32 & 0x00FFFFFF) << 8, cache, cache_size + 1
-
-
 def rc_encode(symbols, tables):
     """Range-code ``symbols`` as ``len(tables)`` equal runs, in order, run c
     against ``tables[c]`` (the channel-major layout of a latent).
@@ -60,8 +56,10 @@ def rc_encode(symbols, tables):
     """
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
     run = _run_length(len(symbols), tables)
-    low, rng, cache, cache_size = 0, _MASK32, 0, 1  # cache holds the leading byte
+    low, rng = 0, _MASK32
+    cache, pending = 0, 0  # cache holds the leading byte
     out = bytearray()
+    emit = out.append
     for c, table in enumerate(tables):
         chunk = symbols[c * run:(c + 1) * run]
         bad = np.flatnonzero((chunk < 0) | (chunk >= table.num_symbols))
@@ -69,16 +67,33 @@ def rc_encode(symbols, tables):
             i = c * run + int(bad[0])
             raise CodingError(f"symbol {symbols[i]} at position {i} is outside "
                               f"table range [0, {table.num_symbols - 1}]")
-        cum = table.cum.tolist()
-        for s in chunk.tolist():
-            r = rng // TOTAL_FREQ
-            low += cum[s] * r
-            rng = (cum[s + 1] - cum[s]) * r
+        starts = table.cum[chunk]
+        freqs = (table.cum[chunk + 1] - starts).tolist()
+        for start, freq in zip(starts.tolist(), freqs):
+            r = rng >> _FREQ_BITS
+            low += start * r
+            rng = freq * r
             while rng < _TOP:
-                low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-                rng = (rng << 8) & _MASK32
-    for _ in range(5):
-        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+                if low < 0xFF000000:  # the top byte is settled, no carry
+                    emit(cache)
+                    if pending:
+                        out += b"\xff" * pending
+                        pending = 0
+                    cache = low >> 24
+                elif low > _MASK32:  # the carry settles the cache and the 0xFFs
+                    emit((cache + 1) & 0xFF)
+                    out += bytes(pending)
+                    pending = 0
+                    cache = (low >> 24) & 0xFF
+                else:  # a 0xFF that a later carry may still turn into 0x00
+                    pending += 1
+                low = (low & 0x00FFFFFF) << 8
+                rng <<= 8
+    # flush: the cache, the pending bytes and all four bytes of low
+    carry = low >> 32
+    emit((cache + carry) & 0xFF)
+    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+    out += (low & _MASK32).to_bytes(4, "big")
     return bytes(out)
 
 
@@ -93,25 +108,29 @@ def rc_decode(data, tables, count):
     code = int.from_bytes(data[:5], "big") & _MASK32
     pos = 5
     rng = _MASK32
+    last = TOTAL_FREQ - 1
     out = np.empty((len(tables), run), dtype=np.int64)
     for c, table in enumerate(tables):
+        freq = table.frequencies()
+        # symbol_at[v] is the symbol s with cum[s] <= v < cum[s + 1]
+        symbol_at = memoryview(np.repeat(np.arange(table.num_symbols, dtype=np.uint16), freq))
         cum = table.cum.tolist()
+        freq = freq.tolist()
         decoded = []
+        push = decoded.append
         for _ in range(run):
-            r = rng // TOTAL_FREQ
+            r = rng >> _FREQ_BITS
             val = code // r
-            if val >= TOTAL_FREQ:
-                val = TOTAL_FREQ - 1
-            s = bisect_right(cum, val) - 1
+            s = symbol_at[val if val < last else last]
             code -= cum[s] * r
-            rng = (cum[s + 1] - cum[s]) * r
+            rng = freq[s] * r
             while rng < _TOP:
                 if pos >= size:
                     raise CodingError(f"truncated payload: needed byte {pos}, have {size}")
                 code = ((code << 8) | data[pos]) & _MASK32
                 pos += 1
-                rng = (rng << 8) & _MASK32
-            decoded.append(s)
+                rng <<= 8
+            push(s)
         out[c] = decoded
     # encoder and decoder move the same number of bytes, so a clean payload
     # ends exactly where its last symbol does

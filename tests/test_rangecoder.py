@@ -2,6 +2,7 @@
 exact big-integer arithmetic coder, and the bitstream container layout."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,43 @@ class TestRoundTrip:
         syms = np.concatenate([rng.integers(0, t.num_symbols, size=250) for t in tables])
         payload = rc_encode(syms, tables)
         np.testing.assert_array_equal(rc_decode(payload, tables, len(syms)), syms)
+
+
+class TestProductionShape:
+    """The desk latent's shape: 32 channel tables of 511 symbols, one run of
+    16,384 symbols (a 128 x 128 latent) per table."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # per channel, a Laplace table over [-255, 255] and symbols drawn from it
+        r = np.random.default_rng(11)
+        support = np.arange(511) - 255
+        tables, runs = [], []
+        for scale in r.uniform(0.3, 3.0, size=32):
+            pmf = np.exp(-np.abs(support) / scale)
+            f = np.maximum((pmf / pmf.sum() * (TOTAL_FREQ - 511)).astype(np.int64), 1)
+            f[255] += TOTAL_FREQ - f.sum()
+            tables.append(CdfTable(np.concatenate([[0], np.cumsum(f)]), offset=255))
+            runs.append(np.clip(np.rint(r.laplace(0, scale, size=16384)), -255, 255) + 255)
+        return tables, np.concatenate(runs).astype(np.int64)
+
+    def test_round_trip_and_traced_peak_memory(self, stream):
+        # working lists live per run, and one table's symbol lookup at a
+        # time; whole-stream lists peak at about 54 MB and 14.5 MB
+        tables, syms = stream
+        peaks = []
+        for code in (lambda: rc_encode(syms, tables),
+                     lambda: rc_decode(payload, tables, len(syms))):
+            tracemalloc.start()
+            try:
+                result = code()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+            payload = result
+        np.testing.assert_array_equal(result, syms)
+        print(f"traced peak MB: rc_encode {peaks[0]:.2f}, rc_decode {peaks[1]:.2f}")
+        assert peaks[0] < 2 and peaks[1] < 6
 
 
 class TestErrors:
