@@ -1,5 +1,5 @@
-"""Command-line surface: train, compress, decompress, evaluate, rd-curve,
-inspect-ratio, param-count.
+"""Command-line surface: train, compress, decompress, inspect, evaluate,
+rd-curve, inspect-ratio, param-count.
 
 Exit status 0 on success, 1 with a one-line ``error: ...`` message on any
 codec failure, 2 for usage problems (argparse's convention).
@@ -38,6 +38,11 @@ def _build_parser():
     dec.add_argument("--checkpoint", required=True)
     dec.add_argument("--input", required=True)
     dec.add_argument("--output", required=True)
+
+    ins = sub.add_parser("inspect",
+                         help="a .mae file's header, payload bits and coder overhead")
+    ins.add_argument("file", help=".mae bitstream")
+    ins.add_argument("--checkpoint", required=True, help="the checkpoint that wrote it")
 
     ev = sub.add_parser("evaluate", help="bpp/PSNR/MS-SSIM of one checkpoint over images")
     ev.add_argument("--checkpoint", required=True)
@@ -101,6 +106,24 @@ def _cmd_decompress(args):
 
     decompress(args.input, args.output, args.checkpoint)
     print(f"decoded -> {args.output}")
+    return 0
+
+
+def _cmd_inspect(args):
+    from .codec import LoadedCodec, inspect_stream
+    from .rangecoder import OVERHEAD_BOUND_BITS
+
+    report = inspect_stream(LoadedCodec(args.checkpoint), Path(args.file).read_bytes())
+    bits = report["bitstream"]
+    print(f"image {bits.width}x{bits.height}, lambda_index {bits.lambda_index} "
+          f"(lambda {report['lam']:g}), {bits.channels} channels of "
+          f"{bits.latent_height}x{bits.latent_width}, model_hash {bits.model_hash:016x}")
+    print(f"payload {len(bits.payload)} bytes = {report['payload_bits']} bits")
+    print("channel,cross_entropy_bits")
+    for c, channel_bits in enumerate(report["channel_bits"]):
+        print(f"{c},{channel_bits:.2f}")
+    print(f"cross-entropy {sum(report['channel_bits']):.2f} bits, coder overhead "
+          f"{report['overhead_bits']:.2f} bits (bound {OVERHEAD_BOUND_BITS})")
     return 0
 
 
@@ -191,6 +214,7 @@ _COMMANDS = {
     "train": _cmd_train,
     "compress": _cmd_compress,
     "decompress": _cmd_decompress,
+    "inspect": _cmd_inspect,
     "evaluate": _cmd_evaluate,
     "rd-curve": _cmd_rd_curve,
     "inspect-ratio": _cmd_inspect_ratio,

@@ -100,8 +100,8 @@ def compress_image(codec, image_hwc, lambda_index):
     return pack(q, meta, codec.tables()).to_bytes()
 
 
-def decompress_image(codec, data):
-    """.mae container bytes -> float32 (H, W, 3) image in [0, 1]."""
+def _checked_bitstream(codec, data):
+    """Parse a .mae container and check its header against ``codec``."""
     bits = Bitstream.from_bytes(data)
     if bits.model_hash != codec.model_hash:
         raise ModelHashMismatch(
@@ -121,7 +121,12 @@ def decompress_image(codec, data):
         raise BitstreamError(
             f"latent {bits.latent_height}x{bits.latent_width} does not fit a "
             f"{bits.height}x{bits.width} image, expected {latent_size[0]}x{latent_size[1]}")
-    q, meta = unpack(bits, codec.tables())
+    return bits
+
+
+def decompress_image(codec, data):
+    """.mae container bytes -> float32 (H, W, 3) image in [0, 1]."""
+    q, meta = unpack(_checked_bitstream(codec, data), codec.tables())
     z = T.Tensor(q[None].astype(codec.model.dtype))
     x_hat = codec.model.decode(z, codec.tradeoffs.lambdas[meta["lambda_index"]], clamp=True)
     full = x_hat.data[0].transpose(1, 2, 0)
@@ -143,6 +148,21 @@ def decompress(input_path, output_path, checkpoint):
     image = decompress_image(codec, Path(input_path).read_bytes())
     write_image(output_path, image)
     return image
+
+
+def inspect_stream(codec, data):
+    """Where a .mae file's bits go: its header, its payload size, each
+    channel's table cross-entropy (the decoded run under its CDF table)
+    and the coder's overhead over their sum."""
+    bits = _checked_bitstream(codec, data)
+    tables = codec.tables()
+    q, _ = unpack(bits, tables)
+    channel_bits = [table.bits_for(q[c].ravel() + table.offset)
+                    for c, table in enumerate(tables)]
+    payload_bits = 8 * len(bits.payload)
+    return {"bitstream": bits, "lam": codec.tradeoffs.lambdas[bits.lambda_index],
+            "payload_bits": payload_bits, "channel_bits": channel_bits,
+            "overhead_bits": payload_bits - sum(channel_bits)}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ The coder keeps a 32-bit range and a low accumulator with one carry bit.
 A settled byte goes out at once; a byte that may still take a carry
 waits as ``cache``, followed by a count of pending 0xFF bytes, and both
 go out when the next byte settles.  Overhead over the table
-cross-entropy is one leading byte plus a five-byte flush, comfortably
-inside the 64-bit bound the tests enforce.  Encoder and decoder consume
-exactly the same number of bytes, so payloads are self-delimiting given
-the symbol count.  A stream is one equal-length run of symbols per CDF
-table, in order; a latent is coded as one run per channel.
+cross-entropy is one leading byte and a five-byte flush, plus up to
+-log2(1 - 2^-8), about 0.0056 bits, per symbol for truncating the range
+to a multiple of TOTAL_FREQ: the streams of desk latents stay inside
+OVERHEAD_BOUND_BITS, long streams at several bits per symbol need not.
+Encoder and decoder consume exactly the same number of bytes, so
+payloads are self-delimiting given the symbol count.  A stream is one
+equal-length run of symbols per CDF table, in order; a latent is coded
+as one run per channel.
 
 Both loops run over plain Python ints, built per run: the encoder
 gathers each symbol's cumulative start and frequency with numpy first,
@@ -31,6 +34,7 @@ from .exceptions import BitstreamError, CodingError, ContractViolation
 _FREQ_BITS = TOTAL_FREQ.bit_length() - 1
 _TOP = 1 << 24
 _MASK32 = (1 << 32) - 1
+OVERHEAD_BOUND_BITS = 64  # acceptance criterion 3b
 
 MAGIC = b"MAE1"
 VERSION = 1
@@ -92,7 +96,7 @@ def rc_encode(symbols, tables):
     # flush: the cache, the pending bytes and all four bytes of low
     carry = low >> 32
     emit((cache + carry) & 0xFF)
-    out += bytes(((0xFF + carry) & 0xFF,)) * pending
+    out += (b"\x00" if carry else b"\xff") * pending
     out += (low & _MASK32).to_bytes(4, "big")
     return bytes(out)
 
@@ -111,11 +115,11 @@ def rc_decode(data, tables, count):
     last = TOTAL_FREQ - 1
     out = np.empty((len(tables), run), dtype=np.int64)
     for c, table in enumerate(tables):
-        freq = table.frequencies()
         # symbol_at[v] is the symbol s with cum[s] <= v < cum[s + 1]
-        symbol_at = memoryview(np.repeat(np.arange(table.num_symbols, dtype=np.uint16), freq))
+        symbol_at = memoryview(np.repeat(np.arange(table.num_symbols, dtype=np.uint16),
+                                         table.frequencies()))
         cum = table.cum.tolist()
-        freq = freq.tolist()
+        freq = table.frequencies().tolist()
         decoded = []
         push = decoded.append
         for _ in range(run):

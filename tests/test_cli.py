@@ -49,6 +49,39 @@ def test_compress_decompress_cycle(workspace, capsys):
     assert read_ppm(out).shape == (96, 96, 3)
 
 
+def test_inspect_reports_where_the_bits_go(workspace, capsys):
+    from maecodec.codec import LoadedCodec
+    from maecodec.entropy import quantize
+    from maecodec.image_io import read_ppm
+
+    ckpt = str(workspace / "model.ckpt")
+    src = workspace / "imgs" / "img_2.ppm"
+    mae = workspace / "inspect.mae"
+    assert main(["compress", "--checkpoint", ckpt, "--input", str(src),
+                 "--output", str(mae), "--lambda-index", "1"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(mae), "--checkpoint", ckpt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    codec = LoadedCodec(ckpt)
+    assert lines[0] == ("image 96x96, lambda_index 1 (lambda 512), 16 channels of 6x6, "
+                        f"model_hash {codec.model_hash:016x}")
+    payload_bits = 8 * (mae.stat().st_size - 29)
+    assert lines[1] == f"payload {payload_bits // 8} bytes = {payload_bits} bits"
+    assert lines[2] == "channel,cross_entropy_bits"
+    # each channel's cross-entropy, from the encoder's own latent
+    q = quantize(codec.latent(read_ppm(src), 512.0))
+    expected = [t.bits_for(q[c].ravel() + t.offset) for c, t in enumerate(codec.tables())]
+    assert lines[3:19] == [f"{c},{b:.2f}" for c, b in enumerate(expected)]
+    total, overhead = sum(expected), payload_bits - sum(expected)
+    assert 0 <= overhead <= 64
+    assert lines[19:] == [f"cross-entropy {total:.2f} bits, coder overhead "
+                          f"{overhead:.2f} bits (bound 64)"]
+    # a file that is not a bitstream is an error, not a traceback
+    assert main(["inspect", ckpt, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "\n" not in err.strip()
+
+
 def test_param_count_default(capsys):
     assert main(["param-count", "--config", "default"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """File-level codec: padding policy, deterministic bitstreams, bpp
 accounting, hash guarding, R-D curve output, and feature-ratio maps."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from maecodec.codec import (MAX_PIXELS, LoadedCodec, compress, compress_image, d
                             decompress_image, evaluate_image, feature_ratio,
                             operating_points, ratio_map_to_gray, rd_curve, rd_rows,
                             write_rd_csv)
-from maecodec.exceptions import BitstreamError, ContractViolation, ModelHashMismatch
+from maecodec.exceptions import (BitstreamError, ContractViolation, MaecodecError,
+                                 ModelHashMismatch)
 from maecodec.image_io import read_image, read_ppm, write_ppm
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.rangecoder import HEADER_SIZE, Bitstream
@@ -132,6 +134,51 @@ class TestCompressDecompress:
         rec = decompress(out, rec_path, ckpt_path)
         assert rec.shape == (80, 64, 3)
         np.testing.assert_allclose(read_ppm(rec_path), rec, atol=1 / 255)
+
+
+class TestMutatedStreams:
+    def test_seeded_mutation_fuzz(self, trained):
+        """Flipped, inserted, deleted and truncated bytes, in the header and
+        in the payload: each case ends in a MaecodecError or in an image of
+        the header's shape with values in [0, 1], in bounded time and
+        memory.  A range-coded payload has no checksum, so some mutations
+        decode silently to a different image; their count is pinned."""
+        rng = np.random.default_rng(2024)
+        clean = [compress_image(trained, make_image(70 + k, 96, 80), k % 3) for k in range(3)]
+        silent = errors = 0
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            for case in range(300):
+                data = bytearray(clean[case % 3])
+                lo, hi = (0, HEADER_SIZE) if case % 2 else (HEADER_SIZE, len(data))
+                at = int(rng.integers(lo, hi))
+                kind = case // 2 % 4
+                if kind == 0:
+                    data[at] ^= int(rng.integers(1, 256))
+                elif kind == 1:
+                    data.insert(at, int(rng.integers(0, 256)))
+                elif kind == 2:
+                    del data[at]
+                else:
+                    del data[at:]
+                try:
+                    image = decompress_image(trained, bytes(data))
+                except MaecodecError:
+                    errors += 1
+                    continue
+                bits = Bitstream.from_bytes(bytes(data))
+                assert image.shape == (bits.height, bits.width, 3)
+                assert np.all(np.isfinite(image)) and image.min() >= 0 and image.max() <= 1
+                silent += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seconds = time.perf_counter() - start
+        print(f"mutation fuzz: {silent} of 300 decode silently, {errors} raise; "
+              f"{seconds:.1f} s, traced peak {peak / 2 ** 20:.1f} MB")
+        assert (silent, errors) == (1, 299)
+        assert seconds < 20 and peak < 16 * 2 ** 20
 
 
 class TestRdCurve:
