@@ -64,21 +64,10 @@ class TestRoundTrip:
             ce = table.bits_for(syms)
             assert ce <= len(payload) * 8 <= ce + 64
 
-    def test_mixed_tables_per_position(self, rng):
-        # 8 tables, one 250-symbol run each
-        tables = [random_table(rng, int(rng.integers(2, 50))) for _ in range(8)]
-        syms = np.concatenate([rng.integers(0, t.num_symbols, size=250) for t in tables])
-        payload = rc_encode(syms, tables)
-        np.testing.assert_array_equal(rc_decode(payload, tables, len(syms)), syms)
-
-
-class TestProductionShape:
-    """The desk latent's shape: 32 channel tables of 511 symbols, one run of
-    16,384 symbols (a 128 x 128 latent) per table."""
-
-    @pytest.fixture(scope="class")
-    def stream(self):
-        # per channel, a Laplace table over [-255, 255] and symbols drawn from it
+    def test_production_shape_and_traced_peak_memory(self):
+        # the desk latent's shape: 32 channel tables of 511 symbols, one run
+        # of 16,384 symbols (a 128 x 128 latent) per table; each channel's
+        # symbols are drawn from its own Laplace table
         r = np.random.default_rng(11)
         support = np.arange(511) - 255
         tables, runs = [], []
@@ -88,25 +77,29 @@ class TestProductionShape:
             f[255] += TOTAL_FREQ - f.sum()
             tables.append(CdfTable(np.concatenate([[0], np.cumsum(f)]), offset=255))
             runs.append(np.clip(np.rint(r.laplace(0, scale, size=16384)), -255, 255) + 255)
-        return tables, np.concatenate(runs).astype(np.int64)
+        syms = np.concatenate(runs).astype(np.int64)
 
-    def test_round_trip_and_traced_peak_memory(self, stream):
-        # working lists live per run, and one table's symbol lookup at a
-        # time; whole-stream lists peak at about 54 MB and 14.5 MB
-        tables, syms = stream
-        peaks = []
-        for code in (lambda: rc_encode(syms, tables),
-                     lambda: rc_decode(payload, tables, len(syms))):
+        def traced(call, *args):
             tracemalloc.start()
             try:
-                result = code()
-                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+                return call(*args), tracemalloc.get_traced_memory()[1] / 2 ** 20
             finally:
                 tracemalloc.stop()
-            payload = result
-        np.testing.assert_array_equal(result, syms)
-        print(f"traced peak MB: rc_encode {peaks[0]:.2f}, rc_decode {peaks[1]:.2f}")
-        assert peaks[0] < 2 and peaks[1] < 6
+
+        payload, encode_mb = traced(rc_encode, syms, tables)
+        decoded, decode_mb = traced(rc_decode, payload, tables, len(syms))
+        np.testing.assert_array_equal(decoded, syms)
+        # working lists live per run, and one table's symbol lookup at a
+        # time; whole-stream lists peak at about 54 MB and 14.5 MB
+        print(f"traced peak MB: rc_encode {encode_mb:.2f}, rc_decode {decode_mb:.2f}")
+        assert encode_mb < 2 and decode_mb < 6
+
+    def test_mixed_tables_per_position(self, rng):
+        # 8 tables, one 250-symbol run each
+        tables = [random_table(rng, int(rng.integers(2, 50))) for _ in range(8)]
+        syms = np.concatenate([rng.integers(0, t.num_symbols, size=250) for t in tables])
+        payload = rc_encode(syms, tables)
+        np.testing.assert_array_equal(rc_decode(payload, tables, len(syms)), syms)
 
 
 class TestErrors:
