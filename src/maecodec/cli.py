@@ -115,7 +115,7 @@ def _cmd_inspect(args):
 
     report = inspect_stream(LoadedCodec(args.checkpoint), Path(args.file).read_bytes())
     bits = report["bitstream"]
-    print(f"image {bits.width}x{bits.height}, lambda_index {bits.lambda_index} "
+    print(f"image {bits.height}x{bits.width}, lambda_index {bits.lambda_index} "
           f"(lambda {report['lam']:g}), {bits.channels} channels of "
           f"{bits.latent_height}x{bits.latent_width}, model_hash {bits.model_hash:016x}")
     print(f"payload {len(bits.payload)} bytes = {report['payload_bits']} bits")
