@@ -2,6 +2,9 @@
 reductions, bottleneck scaling, the parameter store, and parameter
 accounting."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from maecodec import tensor as T
 from maecodec.entropy import quantize, rate_bits
 from maecodec.exceptions import ContractViolation
 from maecodec.network import MODES, CodecConfig, CodecModel, TradeoffSet, param_count
+from maecodec.training import Checkpoint, model_from_checkpoint
 
 DESK = CodecConfig(channels=16, mod_hidden=20)
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
@@ -253,3 +257,56 @@ class TestParamCount:
         counts = param_count(CodecConfig(channels=64))
         assert counts["mae_total"] == counts["shared"] + counts["modulation"]
         assert counts["bottleneck_total"] == counts["shared"] + counts["scaling"]
+
+
+# (channels, mod_hidden, tradeoffs, seed, dtype): the initializations whose
+# bits test_initial_parameters_are_pinned holds fixed
+INIT_CASES = (
+    (4, 2, (1.0,), 0, np.float64),
+    (8, 3, (64.0, 512.0, 4096.0), 1, np.float32),
+    (16, 10, (64.0, 512.0, 4096.0), 7, np.float64),
+    (5, 4, (1.0, 2.0, 3.0, 4.0), 3, np.float32),
+)
+
+
+BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+                    / "desk_mae32_seed0.ckpt")
+
+
+def models_digest(models):
+    """Digest of the models' parameters (names in order, shapes, dtypes,
+    bytes), tradeoff_params and perceptron prefixes."""
+    h = hashlib.sha256()
+    for m in models:
+        for name, t in m.parameters().items():
+            h.update(f"{name} {t.shape} {t.data.dtype.str}".encode())
+            h.update(t.data.tobytes())
+        h.update(repr(list(m.tradeoff_params.items())).encode())
+        h.update(repr([net.prefix for net in m.mod_nets + m.demod_nets]).encode())
+    return h.hexdigest()[:16]
+
+
+def initial_parameters_digest():
+    return models_digest(
+        CodecModel(CodecConfig(channels=channels, mod_hidden=hidden), TradeoffSet(lambdas),
+                   mode, dtype=dtype, seed=seed)
+        for channels, hidden, lambdas, seed, dtype in INIT_CASES for mode in MODES)
+
+
+class TestPinnedParameters:
+    def test_initial_parameters_are_pinned(self):
+        # a rewrite of the initialization must keep every drawn bit
+        assert initial_parameters_digest() == "aabb2858f85f3419"
+
+    def test_checkpoint_loads_are_pinned(self):
+        ckpt = Checkpoint.load(BENCH_CHECKPOINT)
+        loads = [model_from_checkpoint(ckpt, dtype=dtype) for dtype in (np.float32, np.float64)]
+        assert models_digest(loads) == "28f6a59ad7e5fd75"
+
+    def test_param_count_is_pinned(self):
+        counts = param_count(CodecConfig())
+        assert (counts["shared"], counts["modulation"], counts["scaling"],
+                counts["mae_total"]) == (3_974_211, 59_352, 1_344, 4_033_563)
+        counts = param_count(CodecConfig(channels=32), TradeoffSet((64.0, 512.0, 4096.0)))
+        assert (counts["shared"], counts["modulation"], counts["scaling"]) == (
+            124_771, 10_392, 96)
