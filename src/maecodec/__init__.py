@@ -20,7 +20,7 @@ from .exceptions import (BitstreamError, CheckpointError, CodingError,
                          ModelHashMismatch, NumericDomainError, SupportRangeError)
 from .gdn import gdn_forward, igdn_forward
 from .metrics import ms_ssim, ms_ssim_db, psnr
-from .network import CodecConfig, CodecModel, TradeoffSet, param_count
+from .network import CodecConfig, CodecModel, TradeoffSet, param_count, parameter_table
 from .rangecoder import Bitstream, pack, rc_decode, rc_encode, unpack
 from .tensor import GradientTape, Tensor, grad_check
 from .training import (Adam, Checkpoint, TrainingConfig, load_dataset,

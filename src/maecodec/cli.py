@@ -195,11 +195,8 @@ def _cmd_param_count(args):
     from .network import CodecConfig, param_count
     from .training import load_training_config
 
-    if args.config == "default":
-        config = CodecConfig()
-    else:
-        tc = load_training_config(args.config)
-        config = tc.codec_config
+    config = (CodecConfig() if args.config == "default"
+              else load_training_config(args.config).codec_config)
     if args.channels is not None:
         config = CodecConfig(channels=args.channels, mod_hidden=config.mod_hidden)
     counts = param_count(config)

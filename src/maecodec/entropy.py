@@ -75,26 +75,36 @@ class FactorizedDensity:
         return T.sigmoid(h)
 
 
-def init_density(channels, dtype=np.float32, rng=None):
-    """Density whose initial cumulative ramps over roughly [-10, 10]."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def initial_values(start, shape, rng):
+    """A parameter-table row's float64 initial values: ``start`` is ("constant",
+    v), ("identity", v) for v * I, or a draw from ``rng``, ("normal", mean,
+    std) or ("uniform", low, high)."""
+    kind, *args = start
+    if kind == "constant":
+        return np.full(shape, args[0])
+    if kind == "identity":
+        return args[0] * np.eye(shape[0])
+    return getattr(rng, kind)(*args, size=shape)
+
+
+def density_table(channels):
+    """The (name, shape, start) rows of the density's tensors, in creation
+    order; the initial cumulative ramps over roughly [-10, 10]."""
     dims = (1,) + _FILTERS + (1,)
     scale = _INIT_SCALE ** (1.0 / (len(_FILTERS) + 1))
-    matrices, biases, gates = {}, {}, {}
-    for i in range(len(dims) - 1):
-        init = np.log(np.expm1(1.0 / scale / dims[i + 1]))
-        matrices[f"density.matrix{i}"] = T.Tensor(
-            np.full((channels, dims[i + 1], dims[i]), init, dtype=dtype),
-            requires_grad=True)
-        biases[f"density.bias{i}"] = T.Tensor(
-            rng.uniform(-0.5, 0.5, size=(channels, dims[i + 1], 1)).astype(dtype),
-            requires_grad=True)
-        if i < len(dims) - 2:
-            gates[f"density.gate{i}"] = T.Tensor(
-                np.zeros((channels, dims[i + 1], 1), dtype=dtype),
-                requires_grad=True)
-    return FactorizedDensity({**matrices, **biases, **gates})
+    out = [(channels, d, 1) for d in dims[1:]]  # each stage's bias and gate
+    return ([(f"density.matrix{i}", (channels, d, dims[i]),
+              ("constant", np.log(np.expm1(1.0 / scale / d)))) for i, d in enumerate(dims[1:])]
+            + [(f"density.bias{i}", s, ("uniform", -0.5, 0.5)) for i, s in enumerate(out)]
+            + [(f"density.gate{i}", s, ("constant", 0.0)) for i, s in enumerate(out[:-1])])
+
+
+def init_density(channels, dtype=np.float32, rng=None):
+    """The density at the start of density_table(channels)."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    return FactorizedDensity({
+        name: T.Tensor(initial_values(start, shape, rng).astype(dtype), requires_grad=True)
+        for name, shape, start in density_table(channels)})
 
 
 def _channel_major(values):

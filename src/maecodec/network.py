@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .entropy import FactorizedDensity, init_density
+from .entropy import FactorizedDensity, density_table, initial_values
 from .exceptions import ContractViolation
 from .gdn import BETA_FLOOR, gdn_forward, igdn_forward
 
@@ -40,8 +40,8 @@ class CodecConfig:
     mod_hidden: int = 50
 
     def __post_init__(self):
-        if self.channels < 1 or self.mod_hidden < 1:
-            raise ContractViolation("channels and mod_hidden must be positive")
+        if not all(type(v) is int and v >= 1 for v in (self.channels, self.mod_hidden)):
+            raise ContractViolation(f"channels and mod_hidden must be positive ints, got {self}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,52 @@ CONDITIONING = {
 MODES = tuple(CONDITIONING)
 
 
+def parameter_table(config, tradeoffs, mode):
+    """The one description of the parameters: the (name, shape, start) row
+    of every learnable tensor of a ``mode`` model, in creation order (the
+    autoencoder, the density, then the conditioning rows a plain model
+    lacks), ``start`` its initial value as entropy.initial_values reads it."""
+    if mode not in MODES:
+        raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
+    c, hidden = config.channels, config.mod_hidden
+    zeros, ones = ("constant", 0.0), ("constant", 1.0)
+
+    def gdn(prefix, count):  # near the identity: beta = 1, gamma = 0.1 * I
+        return [row for i in range(count) for row in (
+            (f"{prefix}{i}.beta", (c,), ones), (f"{prefix}{i}.gamma", (c, c), ("identity", 0.1)))]
+
+    rows = []
+    in_ch = IMAGE_CHANNELS
+    for i, (k, _, _) in enumerate(ENCODER_STAGES):
+        std = (1.0 / (in_ch * k * k)) ** 0.5
+        rows += [(f"encoder.conv{i}.kernel", (c, in_ch, k, k), ("normal", 0.0, std)),
+                 (f"encoder.conv{i}.bias", (c,), zeros)]
+        in_ch = c
+    rows += gdn("encoder.gdn", len(ENCODER_STAGES))
+    for i, (k, stride, _) in enumerate(DECODER_STAGES):
+        out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
+        std = (stride * stride / (c * k * k)) ** 0.5
+        rows += [(f"decoder.tconv{i}.kernel", (c, out_ch, k, k), ("normal", 0.0, std)),
+                 (f"decoder.tconv{i}.bias", (out_ch,), zeros)]
+    rows += gdn("decoder.igdn", len(DECODER_STAGES) - 1) + density_table(c)
+    for kind, ref in CONDITIONING[mode].values():
+        if kind == "perceptron":
+            # small, nonzero second layer: starts close to exp(0) = 1 while
+            # keeping ReLU units alive so gradients reach the first layer
+            rows += [(ref + "w1", (1, hidden), ("normal", 0.0, 0.5)),
+                     (ref + "b1", (hidden,), ("constant", 0.1)),
+                     (ref + "w2", (hidden, c), ("normal", 0.0, 0.01)), (ref + "b2", (c,), zeros)]
+        elif kind == "learned":
+            # the names are checkpoint keys: tradeoffs that agree to 6
+            # significant digits would share one vector
+            names = [f"{ref}{lam:g}" for lam in tradeoffs]
+            if len(set(names)) != len(names):
+                raise ContractViolation(
+                    f"tradeoffs {tradeoffs.lambdas} give colliding vector names {names}")
+            rows += [(name, (c,), ones) for name in names]
+    return rows
+
+
 class CodecModel:
     """The parameters and forward maps of one trained codec.
 
@@ -132,76 +178,50 @@ class CodecModel:
     channels at each conditioning site by the vector the row holds there.
 
     Every learnable tensor lives in one name -> Tensor dict, under its
-    checkpoint name; the forward maps, the density and the conditioning
-    vectors read their tensors from it by name.
+    checkpoint name in parameter_table's order; the forward maps, the
+    density and the conditioning vectors read their tensors from it by name.
     """
 
     def __init__(self, config, tradeoffs, mode, dtype=np.float32, seed=0):
-        if mode not in MODES:
-            raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
-        self.config = config
-        self.tradeoffs = tradeoffs
-        self.mode = mode
+        # drawn in table order; the density draws from a generator of its own
+        rng, density_rng = (np.random.default_rng([int(seed), k]) for k in (0x6D6165, 0x64656E))
+        self._bind(config, tradeoffs, mode, dtype, {
+            name: initial_values(start, shape, density_rng if name.startswith("density.") else rng)
+            for name, shape, start in parameter_table(config, tradeoffs, mode)})
+
+    @classmethod
+    def from_arrays(cls, config, tradeoffs, mode, arrays, dtype):
+        """The model holding ``arrays`` (name -> ndarray) as its parameters,
+        cast to ``dtype``.  Their names and shapes are checked against
+        parameter_table before anything is allocated, and nothing is drawn."""
+        shapes = {name: shape for name, shape, _ in parameter_table(config, tradeoffs, mode)}
+        given = {name: tuple(values.shape) for name, values in arrays.items()}
+        if given != shapes:
+            wrong = sorted({name for name, _ in shapes.items() ^ given.items()})
+            raise ContractViolation("parameters do not match the architecture: " + ", ".join(
+                f"{n} {given.get(n, 'missing')} (expected {shapes.get(n, 'none')})" for n in wrong))
+        model = cls.__new__(cls)
+        model._bind(config, tradeoffs, mode, dtype, {name: arrays[name] for name in shapes})
+        return model
+
+    def _bind(self, config, tradeoffs, mode, dtype, arrays):
+        self.config, self.tradeoffs, self.mode = config, tradeoffs, mode
         self.conditioning = CONDITIONING[mode]
         self.dtype = np.dtype(dtype).type
-        rng = np.random.default_rng([int(seed), 0x6D6165])
-
-        # created in the order of their random draws
-        c, hidden = config.channels, config.mod_hidden
-        p = self._params = {}
-        in_ch = IMAGE_CHANNELS
-        for i, (k, _, _) in enumerate(ENCODER_STAGES):
-            std = (1.0 / (in_ch * k * k)) ** 0.5
-            p[f"encoder.conv{i}.kernel"] = self._new(rng.normal(0.0, std, size=(c, in_ch, k, k)))
-            p[f"encoder.conv{i}.bias"] = self._new(np.zeros(c))
-            in_ch = c
-        for i in range(len(ENCODER_STAGES)):
-            self._new_gdn(f"encoder.gdn{i}", c)
-        for i, (k, stride, _) in enumerate(DECODER_STAGES):
-            out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
-            std = (stride * stride / (c * k * k)) ** 0.5
-            p[f"decoder.tconv{i}.kernel"] = self._new(rng.normal(0.0, std, size=(c, out_ch, k, k)))
-            p[f"decoder.tconv{i}.bias"] = self._new(np.zeros(out_ch))
-        for i in range(len(DECODER_STAGES) - 1):
-            self._new_gdn(f"decoder.igdn{i}", c)
-
-        density = init_density(c, dtype=self.dtype,
-                               rng=np.random.default_rng([int(seed), 0x64656E]))
-        p.update(density.params)
+        p = self._params = {
+            name: T.Tensor(np.ascontiguousarray(values, dtype=self.dtype), requires_grad=True)
+            for name, values in arrays.items()}
         self.density = FactorizedDensity(p)
-
         # conditioning parameter name -> the tradeoff it serves alone, or None
-        self.tradeoff_params = {}
-        for kind, ref in self.conditioning.values():
-            new = {}  # name -> (the tradeoff it serves, initial values)
-            if kind == "perceptron":
-                # small, nonzero second layer: starts close to exp(0) = 1 while
-                # keeping ReLU units alive so gradients reach the first layer
-                values = (rng.normal(0.0, 0.5, size=(1, hidden)), np.full(hidden, 0.1),
-                          rng.normal(0.0, 0.01, size=(hidden, c)), np.zeros(c))
-                new = {ref + t: (None, v) for t, v in zip(("w1", "b1", "w2", "b2"), values)}
-            elif kind == "learned":
-                # the names are checkpoint keys: tradeoffs that agree to 6
-                # significant digits would share one vector
-                new = {f"{ref}{lam:g}": (lam, np.ones(c)) for lam in tradeoffs}
-                if len(new) != len(tradeoffs):
-                    raise ContractViolation(
-                        f"tradeoffs {tradeoffs.lambdas} give colliding vector names {list(new)}")
-            for name, (lam, values) in new.items():
-                p[name], self.tradeoff_params[name] = self._new(values), lam
+        plain = {name for name, _, _ in parameter_table(config, tradeoffs, "plain")}
+        own = {f"{ref}{lam:g}": lam for kind, ref in self.conditioning.values()
+               if kind == "learned" for lam in tradeoffs}
+        self.tradeoff_params = {name: own.get(name) for name in p if name not in plain}
         # the perceptrons on each side, for inspection
         self.mod_nets, self.demod_nets = (
             [ModulationNet(p, self.conditioning[site][1]) for site in sites
              if self.conditioning.get(site, ("",))[0] == "perceptron"]
             for sites in (ENCODER_SITES, DECODER_SITES))
-
-    def _new(self, values):
-        return T.Tensor(values.astype(self.dtype), requires_grad=True)
-
-    def _new_gdn(self, name, channels):
-        # near-identity start: beta = 1, gamma = 0.1 * I
-        self._params[f"{name}.beta"] = self._new(np.ones(channels))
-        self._params[f"{name}.gamma"] = self._new(0.1 * np.eye(channels))
 
     # -- parameters -------------------------------------------------------------
 
@@ -310,38 +330,21 @@ class CodecModel:
 
 def param_count(config, tradeoffs=None):
     """Exact per-component parameter counts of the architecture ``config``
-    over ``tradeoffs`` (default: the seven-point set).
+    over ``tradeoffs`` (default: the seven-point set), summed over
+    parameter_table.
 
     Returns a dict with the shared autoencoder + entropy model, the
     conditioning overheads of modes mae ("modulation") and bottleneck
     ("scaling"), and derived totals.
     """
     tr = tradeoffs if tradeoffs is not None else TradeoffSet()
-    c = config.channels
-    shared = 0
-    in_ch = IMAGE_CHANNELS
-    for k, _, _ in ENCODER_STAGES:
-        shared += c * in_ch * k * k + c        # conv kernel + bias
-        shared += c + c * c                    # GDN beta + gamma
-        in_ch = c
-    for i, (k, _, _) in enumerate(DECODER_STAGES):
-        out_ch = IMAGE_CHANNELS if i == len(DECODER_STAGES) - 1 else c
-        shared += c * out_ch * k * k + out_ch  # tconv kernel + bias
-        if i < len(DECODER_STAGES) - 1:
-            shared += c + c * c                # IGDN beta + gamma
-    per_channel = (3 * 1 + 3 * 3 + 3 * 3 + 1 * 3) + (3 + 3 + 3 + 1) + (3 + 3 + 3)
-    shared += per_channel * c                  # factorized density
-    per_net = (1 * config.mod_hidden + config.mod_hidden) + (config.mod_hidden * c + c)
-    size = {"perceptron": per_net, "learned": len(tr) * c, "reciprocal": 0}
-    modulation, scaling = (sum(size[kind] for kind, _ in CONDITIONING[mode].values())
-                           for mode in ("mae", "bottleneck"))
-
-    mae_total = shared + modulation
+    size = {mode: sum(math.prod(shape) for _, shape, _ in parameter_table(config, tr, mode))
+            for mode in MODES}
     return {
-        "shared": shared,
-        "modulation": modulation,
-        "scaling": scaling,
-        "mae_total": mae_total,
-        "bottleneck_total": shared + scaling,
-        "independent_total": len(tr) * shared,
+        "shared": size["plain"],
+        "modulation": size["mae"] - size["plain"],
+        "scaling": size["bottleneck"] - size["plain"],
+        "mae_total": size["mae"],
+        "bottleneck_total": size["bottleneck"],
+        "independent_total": len(tr) * size["plain"],
     }

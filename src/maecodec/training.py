@@ -64,8 +64,8 @@ class TrainingConfig:
         if self.mode not in ("mae", "independent", "bottleneck"):
             raise ContractViolation(f"unknown training mode {self.mode!r}")
         TradeoffSet(self.lambdas)  # raises ContractViolation for a bad set
-        if self.mode == "independent" and self.lambda_index is None:
-            raise ContractViolation("independent mode needs lambda_index")
+        if (self.lambda_index is None) == (self.mode == "independent"):
+            raise ContractViolation("independent mode needs lambda_index, other modes take none")
         if self.lambda_index is not None and not 0 <= self.lambda_index < len(self.lambdas):
             raise ContractViolation(
                 f"lambda_index {self.lambda_index} out of range for {len(self.lambdas)} tradeoffs")
@@ -389,23 +389,13 @@ def snapshot(model, iteration, lambda_index=None):
 
 
 def model_from_checkpoint(ckpt, dtype=np.float32):
-    model = CodecModel(ckpt.config, TradeoffSet(ckpt.lambdas), ckpt.mode, dtype=dtype)
-    named = model.parameters()
-    missing = set(named) - set(ckpt.params)
-    extra = set(ckpt.params) - set(named)
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint does not match architecture (missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)})"
-        )
-    for name, tensor in named.items():
-        block = ckpt.params[name]
-        if tuple(block.shape) != tuple(tensor.shape):
-            raise CheckpointError(
-                f"parameter {name!r} has shape {block.shape}, expected {tensor.shape}"
-            )
-        tensor.data = np.ascontiguousarray(block, dtype=dtype)
-    return model
+    """The model ``ckpt`` holds: its blocks are checked against the
+    architecture's parameter table before anything is allocated."""
+    try:
+        return CodecModel.from_arrays(ckpt.config, TradeoffSet(ckpt.lambdas), ckpt.mode,
+                                      ckpt.params, dtype)
+    except ContractViolation as exc:
+        raise CheckpointError(f"unusable checkpoint: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +502,7 @@ def train(config, dataset, log_path=None):
     model = CodecModel(config.codec_config, tradeoffs, NETWORK_MODES.get(config.mode, config.mode),
                        seed=config.seed)
     named = model.parameters()
-    own = tradeoffs.lambdas[config.lambda_index if config.mode == "independent" else -1]
+    own = tradeoffs.lambdas[-1 if config.lambda_index is None else config.lambda_index]
     final_iter = _final_iteration(config)
     # (trainable names, iterations, tradeoff per minibatch, base rate,
     # iterations counted before the phase); phase k draws its randomness
@@ -531,7 +521,6 @@ def train(config, dataset, log_path=None):
                     config.total_iters) for lam in tradeoffs.lambdas[:-1]]
 
     log = _TrainLog(log_path)
-    ckpt_lambda = config.lambda_index if config.mode == "independent" else None
     series = []
     try:
         for phase, (trainable, iterations, pick, base_lr, start_count) in enumerate(phases):
@@ -546,9 +535,9 @@ def train(config, dataset, log_path=None):
                                    iterations=iterations, pick_lambda=pick, log=log,
                                    base_lr=base_lr, start_count=start_count):
                 if it in config.snapshot_iters:
-                    series.append((it, snapshot(model, it, ckpt_lambda)))
+                    series.append((it, snapshot(model, it, config.lambda_index)))
     finally:
         log.close()
 
-    series.append((final_iter, snapshot(model, final_iter, ckpt_lambda)))
+    series.append((final_iter, snapshot(model, final_iter, config.lambda_index)))
     return series

@@ -123,14 +123,15 @@ def job_outputs(method, lambda_index, seed):
 
 def independent_top(ckpt):
     """The independent top-tradeoff model held in a bottleneck checkpoint:
-    its conditioning parameters (the scale vectors) dropped, labelled plain
-    at the top index."""
-    from maecodec.training import model_from_checkpoint
+    the blocks a plain model has (all but the scale vectors), labelled
+    plain at the top index."""
+    from maecodec.network import TradeoffSet, parameter_table
 
-    conditioning = model_from_checkpoint(ckpt).tradeoff_params
+    plain = {name for name, _, _ in parameter_table(ckpt.config, TradeoffSet(ckpt.lambdas),
+                                                    "plain")}
     return dataclasses.replace(
         ckpt, mode="plain", lambda_index=len(ckpt.lambdas) - 1,
-        params={n: b for n, b in ckpt.params.items() if n not in conditioning})
+        params={n: b for n, b in ckpt.params.items() if n in plain})
 
 
 def run_job(method, lambda_index, seed):

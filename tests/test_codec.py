@@ -1,6 +1,7 @@
 """File-level codec: padding policy, deterministic bitstreams, bpp
 accounting, hash guarding, R-D curve output, and feature-ratio maps."""
 
+import struct
 import time
 import tracemalloc
 
@@ -17,7 +18,7 @@ from maecodec.image_io import read_image, read_ppm, write_ppm
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.rangecoder import HEADER_SIZE, Bitstream
 from maecodec.synthetic import make_corpus, make_image
-from maecodec.training import TrainingConfig, snapshot, train
+from maecodec.training import Checkpoint, TrainingConfig, snapshot, train
 
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
 
@@ -178,6 +179,54 @@ class TestMutatedStreams:
         print(f"mutation fuzz: {silent} of 300 decode silently, {errors} raise; "
               f"{seconds:.1f} s, traced peak {peak / 2 ** 20:.1f} MB")
         assert (silent, errors) == (1, 299)
+        assert seconds < 20 and peak < 16 * 2 ** 20
+
+
+class TestMutatedCheckpoints:
+    def test_seeded_mutation_fuzz(self):
+        """Flipped, inserted, deleted and truncated bytes, in the header and
+        in the parameter blocks of three tiny checkpoints: each case ends in
+        a MaecodecError or in a LoadedCodec whose tables build, in bounded
+        time and memory.  The blocks carry no checksum, so a flipped byte
+        there loads as a different model; the counts are pinned."""
+        rng = np.random.default_rng(2025)
+        config, tradeoffs = CodecConfig(channels=4, mod_hidden=3), TradeoffSet((1.0, 2.0, 4.0))
+        clean = [snapshot(CodecModel(config, tradeoffs, mode, seed=k), 0,
+                          lambda_index=0 if mode == "plain" else None).to_bytes()
+                 for k, mode in enumerate(("mae", "plain", "bottleneck"))]
+        loaded = errors = 0
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            for case in range(600):
+                data = bytearray(clean[case % 3])
+                header_end = 9 + struct.unpack(">I", data[5:9])[0]
+                lo, hi = (0, header_end) if case % 2 else (header_end, len(data))
+                at = int(rng.integers(lo, hi))
+                kind = case // 2 % 4
+                if kind == 0:
+                    data[at] ^= int(rng.integers(1, 256))
+                elif kind == 1:
+                    data.insert(at, int(rng.integers(0, 256)))
+                elif kind == 2:
+                    del data[at]
+                else:
+                    del data[at:]
+                try:
+                    codec = LoadedCodec(Checkpoint.from_bytes(bytes(data)))
+                    tables = codec.tables()
+                except MaecodecError:
+                    errors += 1
+                    continue
+                assert len(tables) == codec.model.config.channels
+                loaded += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seconds = time.perf_counter() - start
+        print(f"checkpoint mutation fuzz: {loaded} of 600 load, {errors} raise; "
+              f"{seconds:.1f} s, traced peak {peak / 2 ** 20:.1f} MB")
+        assert (loaded, errors) == (76, 524)
         assert seconds < 20 and peak < 16 * 2 ** 20
 
 

@@ -3,6 +3,7 @@ determinism, checkpoints, schedules, and dataset handling."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,7 +264,8 @@ class TestTrainLoop:
                 self.rows.append(values)
 
         images = make_corpus(2, 32, 32)
-        cfg = tiny_config(mode=method_name(mode), lambda_index=0)
+        cfg = tiny_config(mode=method_name(mode),
+                          lambda_index=0 if mode == "plain" else None)
         model = tiny_model(mode, seed=4, dtype=np.float64)
         params = list(model.parameters().values())
         rec = Recorder()
@@ -365,7 +367,8 @@ class TestCheckpoint:
         head_len = struct.unpack(">I", data[5:9])[0]
         for field, value in (("params", 5),         # not a list of blocks
                              ("params", [["a"]]),   # a block without a shape
-                             ("channels", "x"), ("iteration", "z"),
+                             ("channels", "x"), ("channels", 2.5), ("channels", True),
+                             ("mod_hidden", 2.5), ("iteration", "z"),
                              ("iteration", float("inf")),
                              # tradeoffs that are not finite numbers
                              ("lambdas", ["a"]), ("lambdas", [64, float("nan")]),
@@ -376,6 +379,52 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="malformed"):
                 Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
                                       + data[9 + head_len:])
+
+    def test_architecture_mismatch_rejected(self):
+        ckpt = snapshot(tiny_model(), 0)
+        missing = dict(ckpt.params)
+        del missing["modulate0.w1"]
+        reshaped = dict(ckpt.params, **{"density.bias0": np.zeros((16, 3, 2), np.float32)})
+        extra = dict(ckpt.params, **{"scale.64": np.ones(16, np.float32)})
+        for params, message in ((missing, r"modulate0.w1 missing \(expected \(1, 10\)\)"),
+                                (extra, r"scale.64 \(16,\) \(expected none\)"),
+                                (reshaped, r"density.bias0 \(16, 3, 2\) \(expected \(16, 3, 1")):
+            with pytest.raises(CheckpointError, match=message):
+                model_from_checkpoint(Checkpoint(ckpt.config, ckpt.mode, ckpt.lambdas, 0, params))
+
+    def test_declared_size_checked_before_allocation(self):
+        # a ~250-byte edit of the header used to make the load draw a random
+        # model of that size first: a MemoryError for 182 TiB
+        data = snapshot(tiny_model(), 0).to_bytes()
+        head_len = struct.unpack(">I", data[5:9])[0]
+        header = json.loads(data[9 : 9 + head_len])
+        header["channels"] = 10 ** 6
+        head = json.dumps(header).encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="do not match the architecture"):
+                model_from_checkpoint(Checkpoint.from_bytes(
+                    data[:5] + struct.pack(">I", len(head)) + head + data[9 + head_len:]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_draws_nothing(self, monkeypatch, dtype):
+        drawn = tiny_model("bottleneck", seed=3)
+        ckpt = snapshot(drawn, 0)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a checkpoint load created a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        model = model_from_checkpoint(ckpt, dtype=dtype)
+        assert list(model.parameters()) == list(drawn.parameters())
+        assert model.tradeoff_params == drawn.tradeoff_params
+        for name, t in model.parameters().items():
+            assert t.data.dtype == dtype
+            np.testing.assert_array_equal(t.data, ckpt.params[name])
 
     def test_lambda_index_preserved(self):
         model = tiny_model("plain")
@@ -463,10 +512,12 @@ class TestConfigFile:
 
     def test_lambda_index_outside_the_set_rejected(self):
         # 3 used to fail later with an IndexError in train(); -1 trained at
-        # the top tradeoff and wrote an index compress_image refuses
-        for index in (3, -1):
+        # the top tradeoff and wrote an index compress_image refuses; mae
+        # and bottleneck runs ignored it and wrote checkpoints without it
+        for mode, index in (("independent", 3), ("independent", -1), ("mae", 0),
+                            ("bottleneck", 0)):
             with pytest.raises(ContractViolation, match="lambda_index"):
-                tiny_config(mode="independent", lambda_index=index)
+                tiny_config(mode=mode, lambda_index=index)
 
     def test_negative_phase2_iters_rejected(self):
         # used to label the final mae checkpoint with a negative iteration
