@@ -127,8 +127,8 @@ def independent_top(ckpt):
     plain at the top index."""
     from maecodec.network import TradeoffSet, parameter_table
 
-    plain = {name for name, _, _ in parameter_table(ckpt.config, TradeoffSet(ckpt.lambdas),
-                                                    "plain")}
+    table = parameter_table(ckpt.config, TradeoffSet(ckpt.lambdas), "plain")
+    plain = {name for name, _, _ in table}
     return dataclasses.replace(
         ckpt, mode="plain", lambda_index=len(ckpt.lambdas) - 1,
         params={n: b for n, b in ckpt.params.items() if n in plain})
