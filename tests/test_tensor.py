@@ -387,6 +387,28 @@ class TestGradCheck:
         err = T.grad_check(lambda t: T.add(T.reduce_sum(T.mul(t, 0.0)), T.reduce_sum(c)), [x])
         assert err == 0.0
 
+    @staticmethod
+    def assert_never_passes(fn, inputs):
+        # a program outside grad_check's contract is refused outright or
+        # reported with an error far above the tests' 1e-4 bound
+        try:
+            err = T.grad_check(fn, inputs)
+        except ContractViolation:
+            return
+        assert err >= 1e-4
+
+    def test_value_read_through_data_never_passes(self, rng):
+        # the copy is a constant to the tape, so the analytic gradient
+        # sees one factor of t where the value has two
+        x = tensor64(rng, (4,))
+        self.assert_never_passes(lambda t: T.reduce_sum(T.mul(t, T.Tensor(t.data.copy()))), [x])
+
+    def test_nondeterministic_program_never_passes(self, rng):
+        x = tensor64(rng, (4,))
+        noise = np.random.default_rng(5)
+        self.assert_never_passes(
+            lambda t: T.reduce_sum(T.add(T.square(t), T.Tensor(noise.normal(size=4)))), [x])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_every_primitive(self, seed):
         r = np.random.default_rng(seed)
