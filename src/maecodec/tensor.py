@@ -70,12 +70,14 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "backward")
+    # forward(*inputs) recomputes out from (other values of) the inputs
+    __slots__ = ("out", "inputs", "backward", "forward")
 
-    def __init__(self, out, inputs, backward):
+    def __init__(self, out, inputs, backward, forward):
         self.out = out
         self.inputs = inputs
         self.backward = backward
+        self.forward = forward
 
 
 _tls = threading.local()
@@ -151,11 +153,11 @@ class GradientTape:
         return result
 
 
-def _record(out, inputs, backward):
+def _record(out, inputs, backward, forward):
     stack = getattr(_tls, "stack", None)
     out.requires_grad = any(t.requires_grad for t in inputs)
     if stack and out.requires_grad:
-        stack[-1]._nodes.append(_Node(out, inputs, backward))
+        stack[-1]._nodes.append(_Node(out, inputs, backward, forward))
     return out
 
 
@@ -334,7 +336,7 @@ def conv2d(x, kernel, stride=1, padding=0):
             gk = _kernel_grad(gt, cols, kernel.shape)
         return gx, gk
 
-    return _record(out, (x, kernel), backward)
+    return _record(out, (x, kernel), backward, lambda a, k: conv2d(a, k, stride, padding))
 
 
 def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
@@ -391,7 +393,8 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
             gk = _kernel_grad(xt, cols, kernel.shape)
         return gx, gk
 
-    return _record(out, (x, kernel), backward)
+    return _record(out, (x, kernel), backward,
+                   lambda a, k: conv2d_transpose(a, k, stride, padding, output_padding))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,7 @@ def affine(x, weight, bias):
         gb = g.sum(axis=0) if bias.requires_grad else None
         return gx, gw, gb
 
-    return _record(out, (x, weight, bias), backward)
+    return _record(out, (x, weight, bias), backward, affine)
 
 
 def channel_matmul(weight, h):
@@ -433,7 +436,7 @@ def channel_matmul(weight, h):
         gh = np.matmul(weight.data.transpose(0, 2, 1), g) if h.requires_grad else None
         return gw, gh
 
-    return _record(out, (weight, h), backward)
+    return _record(out, (weight, h), backward, channel_matmul)
 
 
 def channel_bias(h, bias):
@@ -449,7 +452,7 @@ def channel_bias(h, bias):
         gb = g.sum(axis=2, keepdims=True) if bias.requires_grad else None
         return gh, gb
 
-    return _record(out, (h, bias), backward)
+    return _record(out, (h, bias), backward, channel_bias)
 
 
 def tanh_coupling(h, gate):
@@ -472,7 +475,7 @@ def tanh_coupling(h, gate):
             gg = (g * th).sum(axis=2, keepdims=True) * (1.0 - tg * tg)
         return gh, gg
 
-    return _record(out, (h, gate), backward)
+    return _record(out, (h, gate), backward, tanh_coupling)
 
 
 def channel_scale(x, vec):
@@ -489,7 +492,7 @@ def channel_scale(x, vec):
         gv = (g * x.data).sum(axis=(0, 2, 3)) if vec.requires_grad else None
         return gx, gv
 
-    return _record(out, (x, vec), backward)
+    return _record(out, (x, vec), backward, channel_scale)
 
 
 def channel_shift(x, vec):
@@ -505,44 +508,46 @@ def channel_shift(x, vec):
         gv = g.sum(axis=(0, 2, 3)) if vec.requires_grad else None
         return gx, gv
 
-    return _record(out, (x, vec), backward)
+    return _record(out, (x, vec), backward, channel_shift)
 
 
 # ---------------------------------------------------------------------------
 # elementwise
 
 
-def _unary(x, fn, dfn):
+def _unary(x, fn, dfn, op):
+    # op is the public primitive, which replays the node
     out = Tensor(fn(x.data))
 
     def backward(g):
         return (g * dfn(x.data, out.data) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward)
+    return _record(out, (x,), backward, op)
 
 
 def relu(x):
-    return _unary(x, lambda v: np.maximum(v, 0), lambda v, o: (v > 0).astype(v.dtype))
+    return _unary(x, lambda v: np.maximum(v, 0), lambda v, o: (v > 0).astype(v.dtype), relu)
 
 
 def exp(x):
-    return _unary(x, np.exp, lambda v, o: o)
+    return _unary(x, np.exp, lambda v, o: o, exp)
 
 
 def neg(x):
-    return _unary(x, np.negative, lambda v, o: np.float64(-1.0).astype(v.dtype))
+    return _unary(x, np.negative, lambda v, o: np.float64(-1.0).astype(v.dtype), neg)
 
 
 def square(x):
-    return _unary(x, np.square, lambda v, o: 2.0 * v)
+    return _unary(x, np.square, lambda v, o: 2.0 * v, square)
 
 
 def sigmoid(x):
-    return _unary(x, _expit, lambda v, o: o * (1.0 - o))
+    return _unary(x, _expit, lambda v, o: o * (1.0 - o), sigmoid)
 
 
 def softplus(x):
-    return _unary(x, lambda v: np.logaddexp(0.0, v).astype(v.dtype), lambda v, o: _expit(v))
+    return _unary(x, lambda v: np.logaddexp(0.0, v).astype(v.dtype), lambda v, o: _expit(v),
+                  softplus)
 
 
 def _domain_check(data, ok_mask, op_name, requirement):
@@ -555,13 +560,13 @@ def _domain_check(data, ok_mask, op_name, requirement):
 
 def sqrt(x):
     _domain_check(x.data, x.data > 0, "sqrt", "strictly positive inputs")
-    return _unary(x, np.sqrt, lambda v, o: 0.5 / o)
+    return _unary(x, np.sqrt, lambda v, o: 0.5 / o, sqrt)
 
 
 def log2(x):
     _domain_check(x.data, x.data > 0, "log2", "strictly positive inputs")
     inv_ln2 = 1.0 / np.log(2.0)
-    return _unary(x, np.log2, lambda v, o: inv_ln2 / v)
+    return _unary(x, np.log2, lambda v, o: inv_ln2 / v, log2)
 
 
 def _binary_operands(a, b, op_name):
@@ -592,7 +597,7 @@ def add(a, b):
         gb = _shrink_to(g, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, add)
 
 
 def sub(a, b):
@@ -604,7 +609,7 @@ def sub(a, b):
         gb = _shrink_to(-g, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, sub)
 
 
 def mul(a, b):
@@ -616,7 +621,7 @@ def mul(a, b):
         gb = _shrink_to(g * a.data, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, mul)
 
 
 def div(a, b):
@@ -629,7 +634,7 @@ def div(a, b):
         gb = _shrink_to(-g * out.data / b.data, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b), backward, div)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +654,7 @@ def _reduce(x, mean):
             g_full = g_full / x.size
         return (np.ascontiguousarray(g_full),)
 
-    return _record(out, (x,), backward)
+    return _record(out, (x,), backward, reduce_mean if mean else reduce_sum)
 
 
 def reduce_sum(x):
@@ -671,7 +676,7 @@ def reshape(x, shape):
     def backward(g):
         return (g.reshape(x.shape) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward)
+    return _record(out, (x,), backward, lambda v: reshape(v, shape))
 
 
 def transpose(x, axes):
@@ -684,7 +689,7 @@ def transpose(x, axes):
     def backward(g):
         return (np.ascontiguousarray(g.transpose(inverse)) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward)
+    return _record(out, (x,), backward, lambda v: transpose(v, axes))
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +699,15 @@ def transpose(x, axes):
 def grad_check(fn, inputs):
     """Max relative error between analytic and central-difference gradients.
 
-    ``fn`` maps the given tensors to a scalar Tensor and must be
-    deterministic; inputs must sit in the interior of every domain the
-    program touches.  Everything is evaluated in double precision.
-    Returns max over coordinates of
+    ``fn`` maps the given tensors to a scalar Tensor.  It must be
+    deterministic, and its value must depend on its inputs only through
+    this module's primitives: the program is recorded once, and each
+    difference replays only the recorded primitives downstream of the
+    perturbed input.  A program that breaks this contract, for example by
+    reading an input's ``.data`` into a constant or by drawing fresh noise
+    per call, raises ContractViolation.  Inputs must sit in the interior
+    of every domain the program touches.  Everything is evaluated in
+    double precision.  Returns max over coordinates of
     |analytic - numeric| / (|analytic| + 1e-8).
     """
     work = [Tensor(t.data.astype(np.float64), requires_grad=t.requires_grad) for t in inputs]
@@ -709,20 +719,71 @@ def grad_check(fn, inputs):
 
     eps = 1e-4  # central-difference step
     worst = 0.0
-    for t in work:
-        if not t.requires_grad:
-            continue
+    checked = [t for t in work if t.requires_grad]
+    for t, numeric in zip(checked, _numeric_gradients(fn, work, tape, loss, eps)):
         g = grads.get(t)
-        analytic = (np.zeros_like(t.data) if g is None else g).reshape(-1)
+        analytic = np.zeros_like(t.data) if g is None else g
+        worst = np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8), initial=worst)
+    return float(worst)
+
+
+def _numeric_gradients(fn, work, tape, loss, eps):
+    """(f(t + eps) - f(t - eps)) / (2 eps) per coordinate of each input of
+    ``work`` that requires grad, one array per input.
+
+    ``tape`` recorded ``loss = fn(*work)``.  Each f+- replays the nodes
+    downstream of the perturbed input against the recorded outputs of all
+    others: the same primitives on the same arrays as a call of ``fn``,
+    so the same bits.  First, one call of ``fn`` at a seeded +-eps
+    perturbation of every input must match the replay bit for bit, or a
+    value that bypasses the tape would go unseen.
+    """
+    checked = [t for t in work if t.requires_grad]
+    saved = [t.data.copy() for t in checked]
+    signs = np.random.default_rng(0x67726164)
+    for t in checked:
+        t.data += eps * signs.choice((-1.0, 1.0), size=t.shape)
+    called = fn(*work).item()
+    replayed = _replay(_downstream(tape._nodes, checked), loss).item()
+    for t, data in zip(checked, saved):
+        np.copyto(t.data, data)
+    if called.hex() != replayed.hex():
+        raise ContractViolation(
+            f"grad_check: fn gives {called!r} where its recorded primitives give {replayed!r}; "
+            "fn must be deterministic and see its inputs only through tensor primitives")
+
+    numeric = []
+    for t in checked:
+        nodes = _downstream(tape._nodes, [t])
         flat = t.data.reshape(-1)
+        diffs = np.empty(flat.size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = fn(*work).item()
+            f_plus = _replay(nodes, loss).item()
             flat[i] = orig - eps
-            f_minus = fn(*work).item()
+            f_minus = _replay(nodes, loss).item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(analytic[i] - numeric) / (abs(analytic[i]) + 1e-8)
-            worst = max(worst, err)
-    return worst
+            diffs[i] = (f_plus - f_minus) / (2.0 * eps)
+        numeric.append(diffs.reshape(t.shape))
+    return numeric
+
+
+def _downstream(nodes, sources):
+    """The nodes whose output depends on a tensor of ``sources``, in tape order."""
+    reached = {id(t) for t in sources}
+    picked = []
+    for node in nodes:
+        if any(id(inp) in reached for inp in node.inputs):
+            reached.add(id(node.out))
+            picked.append(node)
+    return picked
+
+
+def _replay(nodes, loss):
+    """``loss`` recomputed by rerunning ``nodes``, each on the fresh outputs
+    of earlier ones and the recorded outputs of all other nodes."""
+    fresh = {}
+    for node in nodes:
+        fresh[id(node.out)] = node.forward(*[fresh.get(id(inp), inp) for inp in node.inputs])
+    return fresh.get(id(loss), loss)

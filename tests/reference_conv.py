@@ -58,7 +58,7 @@ def conv2d(x, kernel, stride=1, padding=0):
             gk = np.tensordot(g, gwin, axes=([0, 2, 3], [0, 2, 3]))
         return gx, gk
 
-    return _record(out, (x, kernel), backward)
+    return _record(out, (x, kernel), backward, lambda a, k: conv2d(a, k, stride, padding))
 
 
 def _scatter_windows(contrib, canvas, stride):
@@ -146,4 +146,5 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
             gk = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
         return gx, gk
 
-    return _record(out, (x, kernel), backward)
+    return _record(out, (x, kernel), backward,
+                   lambda a, k: conv2d_transpose(a, k, stride, padding, output_padding))

@@ -18,6 +18,8 @@ from maecodec.training import (Adam, Checkpoint, TrainingConfig, load_training_c
                                model_from_checkpoint, next_batch, rd_terms,
                                sample_tradeoff, snapshot, train)
 
+import reference_gradcheck
+
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
 
 
@@ -81,29 +83,36 @@ class TestRdLoss:
         assert full_loss_grad_error(seed) < 1e-4
 
     def test_bottleneck_scale_grad_check(self):
-        # the only path through a reciprocal site: each scale vector
-        # multiplies the latent and its reciprocal the decoder's input
-        tr = TradeoffSet((0.25, 1.0))
-        r = np.random.default_rng(7)
-        model = CodecModel(CodecConfig(channels=3, mod_hidden=3), tr, "bottleneck",
-                           seed=7, dtype=np.float64)
-        names = list(model.tradeoff_params)
-        assert names == ["scale.0.25", "scale.1"]
-        named = model.parameters()
-        for name in names:
-            named[name].data[:] = r.uniform(0.5, 2.0, size=3)
-        x = T.Tensor(r.random((1, 3, 16, 16)))
-        noise = T.Tensor(r.uniform(-0.5, 0.5, size=(1, 3, 1, 1)))
-        for lam in tr:
-            def fn(*ps):
-                model.adopt_parameters(dict(zip(names, ps)))
-                return rd_terms(x, lam, model, noise=noise)[0]
-
-            assert T.grad_check(fn, [named[n] for n in names]) < 1e-4
+        for fn, params in bottleneck_scale_programs():
+            assert T.grad_check(fn, params) < 1e-4
 
 
-def full_loss_grad_error(seed):
-    """Finite-difference error of the complete objective on a 16x16 crop.
+class TestReplayedDifferences:
+    """grad_check replays only the primitives downstream of each perturbed
+    input; its f+- must have the bits of reference_gradcheck's full
+    recompute of the whole program."""
+
+    @staticmethod
+    def assert_same_differences(fn, params):
+        work = [T.Tensor(p.data.astype(np.float64), requires_grad=True) for p in params]
+        with T.GradientTape() as tape:
+            loss = fn(*work)
+        replayed = T._numeric_gradients(fn, work, tape, loss, 1e-4)
+        full = reference_gradcheck.numeric_gradients(fn, work, 1e-4)
+        assert len(replayed) == len(full) == len(params)
+        for a, b in zip(replayed, full):
+            assert np.array_equal(a, b)
+
+    def test_full_objective(self):
+        self.assert_same_differences(*full_loss_program(0))
+
+    def test_bottleneck_scales(self):
+        for fn, params in bottleneck_scale_programs():
+            self.assert_same_differences(fn, params)
+
+
+def full_loss_program(seed):
+    """(fn, params) of the complete objective on a 16x16 crop.
 
     Double precision end-to-end through encode, modulation, noise, rate,
     decode, and distortion.  The tradeoff set keeps the loss value O(0.1)
@@ -129,7 +138,40 @@ def full_loss_grad_error(seed):
         model.adopt_parameters(dict(zip(names, ps)))
         return rd_terms(x, lam, model, noise=noise)[0]
 
-    return T.grad_check(fn, params)
+    return fn, params
+
+
+def full_loss_grad_error(seed):
+    """Finite-difference error of full_loss_program(seed)."""
+    return T.grad_check(*full_loss_program(seed))
+
+
+def bottleneck_scale_programs():
+    """(fn, params) of the objective at each tradeoff of a bottleneck model,
+    with respect to its scale vectors: the only path through a reciprocal
+    site, as each scale vector multiplies the latent and its reciprocal
+    the decoder's input."""
+    tr = TradeoffSet((0.25, 1.0))
+    r = np.random.default_rng(7)
+    model = CodecModel(CodecConfig(channels=3, mod_hidden=3), tr, "bottleneck",
+                       seed=7, dtype=np.float64)
+    names = list(model.tradeoff_params)
+    assert names == ["scale.0.25", "scale.1"]
+    named = model.parameters()
+    for name in names:
+        named[name].data[:] = r.uniform(0.5, 2.0, size=3)
+    x = T.Tensor(r.random((1, 3, 16, 16)))
+    noise = T.Tensor(r.uniform(-0.5, 0.5, size=(1, 3, 1, 1)))
+    params = [named[n] for n in names]
+
+    def program(lam):
+        def fn(*ps):
+            model.adopt_parameters(dict(zip(names, ps)))
+            return rd_terms(x, lam, model, noise=noise)[0]
+
+        return fn
+
+    return [(program(lam), params) for lam in tr]
 
 
 class TestSampleTradeoff:
