@@ -414,6 +414,20 @@ class TestGradCheck:
         x = T.Tensor(np.array([np.nan, 1.0, 2.0]), requires_grad=True)
         self.assert_never_passes(lambda t: T.reduce_sum(T.square(t)), [x])
 
+    # one coordinate sits exactly one central-difference step (1e-4) above
+    # zero, so the minus step of that coordinate is exactly 0: a perturbed
+    # evaluation that leaves the domain raises, as a direct call would
+    @pytest.mark.parametrize("program", [
+        lambda t: T.reduce_sum(T.sqrt(t)),
+        lambda t: T.reduce_sum(T.log2(t)),
+        lambda t: T.reduce_sum(T.div(T.Tensor(np.ones(3)), t)),
+    ], ids=["sqrt", "log2", "div"])
+    def test_step_out_of_the_domain_raises(self, program):
+        x = T.Tensor(np.array([0.5, 1e-4, 2.0]), requires_grad=True)
+        assert np.isfinite(program(x).item())
+        with pytest.raises(NumericDomainError):
+            T.grad_check(program, [x])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_every_primitive(self, seed):
         r = np.random.default_rng(seed)
