@@ -70,7 +70,8 @@ class Tensor:
 
 
 class _Node:
-    # forward(*inputs) recomputes out from (other values of) the inputs
+    # forward(*arrays) is the ndarray kernel that computed out.data from the
+    # inputs' data; it recomputes it from other values of them
     __slots__ = ("out", "inputs", "backward", "forward")
 
     def __init__(self, out, inputs, backward, forward):
@@ -317,13 +318,12 @@ def conv2d(x, kernel, stride=1, padding=0):
             f"conv2d kernel {kh}x{kw} does not fit input {h}x{w} with padding {padding}"
         )
 
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    kmat = kernel.data.reshape(co, -1)
-    cols = _im2col(_pad_hw(x.data, padding), kh, kw, stride, ho, wo)
-    out = Tensor(_channels_first(_matmul_positions(kmat, cols), n, ho, wo))
+    out_data, cols = _conv2d(x.data, kernel.data, stride, padding)
+    out = Tensor(out_data)
+    ho, wo = out_data.shape[2:]
 
     def backward(g):
+        kmat = kernel.data.reshape(co, -1)
         gt = g.transpose(1, 0, 2, 3)
         gx = None
         if x.requires_grad:
@@ -336,7 +336,18 @@ def conv2d(x, kernel, stride=1, padding=0):
             gk = _kernel_grad(gt, cols, kernel.shape)
         return gx, gk
 
-    return _record(out, (x, kernel), backward, lambda a, k: conv2d(a, k, stride, padding))
+    return _record(out, (x, kernel), backward, lambda a, k: _conv2d(a, k, stride, padding)[0])
+
+
+def _conv2d(x, kernel, stride, padding):
+    """conv2d's forward on arrays: the output and the window buffer that
+    its backward pass keeps."""
+    n, _, h, w = x.shape
+    co, _, kh, kw = kernel.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = _im2col(_pad_hw(x, padding), kh, kw, stride, ho, wo)
+    return _channels_first(_matmul_positions(kernel.reshape(co, -1), cols), n, ho, wo), cols
 
 
 def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
@@ -372,13 +383,7 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
         )
     canvas_shape = (n, co, (h - 1) * stride + kh + output_padding,
                     (w - 1) * stride + kw + output_padding)
-
-    kmat = kernel.data.reshape(ci, -1)
-    xt = x.data.transpose(1, 0, 2, 3)
-    canvas = np.zeros(canvas_shape, dtype=x.dtype)
-    _col2im(_matmul_positions(kmat.T, xt), canvas, kh, kw, stride, h, w)
-    out = Tensor(np.ascontiguousarray(
-        canvas[:, :, padding : padding + th, padding : padding + tw]))
+    out = Tensor(_conv2d_transpose(x.data, kernel.data, stride, padding, output_padding))
 
     def backward(g):
         # re-embed the gradient into canvas coordinates, then gather windows
@@ -387,14 +392,26 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
         cols = _im2col(canvas, kh, kw, stride, h, w)
         gx = None
         if x.requires_grad:
-            gx = _channels_first(_matmul_positions(kmat, cols), n, h, w)
+            gx = _channels_first(_matmul_positions(kernel.data.reshape(ci, -1), cols), n, h, w)
         gk = None
         if kernel.requires_grad:
-            gk = _kernel_grad(xt, cols, kernel.shape)
+            gk = _kernel_grad(x.data.transpose(1, 0, 2, 3), cols, kernel.shape)
         return gx, gk
 
     return _record(out, (x, kernel), backward,
-                   lambda a, k: conv2d_transpose(a, k, stride, padding, output_padding))
+                   lambda a, k: _conv2d_transpose(a, k, stride, padding, output_padding))
+
+
+def _conv2d_transpose(x, kernel, stride, padding, output_padding):
+    """conv2d_transpose's forward on arrays."""
+    n, ci, h, w = x.shape
+    _, co, kh, kw = kernel.shape
+    hc = (h - 1) * stride + kh + output_padding
+    wc = (w - 1) * stride + kw + output_padding
+    canvas = np.zeros((n, co, hc, wc), dtype=x.dtype)
+    _col2im(_matmul_positions(kernel.reshape(ci, -1).T, x.transpose(1, 0, 2, 3)),
+            canvas, kh, kw, stride, h, w)
+    return np.ascontiguousarray(canvas[:, :, padding : hc - padding, padding : wc - padding])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +428,7 @@ def affine(x, weight, bias):
         raise ContractViolation(
             f"affine inner extents disagree: {x.shape} @ {weight.shape} + {bias.shape}"
         )
-    out = Tensor(x.data @ weight.data + bias.data)
+    out = Tensor(_affine(x.data, weight.data, bias.data))
 
     def backward(g):
         gx = g @ weight.data.T if x.requires_grad else None
@@ -419,7 +436,11 @@ def affine(x, weight, bias):
         gb = g.sum(axis=0) if bias.requires_grad else None
         return gx, gw, gb
 
-    return _record(out, (x, weight, bias), backward, affine)
+    return _record(out, (x, weight, bias), backward, _affine)
+
+
+def _affine(x, weight, bias):
+    return x @ weight + bias
 
 
 def channel_matmul(weight, h):
@@ -436,7 +457,7 @@ def channel_matmul(weight, h):
         gh = np.matmul(weight.data.transpose(0, 2, 1), g) if h.requires_grad else None
         return gw, gh
 
-    return _record(out, (weight, h), backward, channel_matmul)
+    return _record(out, (weight, h), backward, np.matmul)
 
 
 def channel_bias(h, bias):
@@ -445,14 +466,14 @@ def channel_bias(h, bias):
         raise ContractViolation(
             f"channel_bias expects bias {(h.shape[0], h.shape[1], 1)}, got {bias.shape}"
         )
-    out = Tensor(h.data + bias.data)
+    out = Tensor(np.add(h.data, bias.data))
 
     def backward(g):
         gh = g if h.requires_grad else None
         gb = g.sum(axis=2, keepdims=True) if bias.requires_grad else None
         return gh, gb
 
-    return _record(out, (h, bias), backward, channel_bias)
+    return _record(out, (h, bias), backward, np.add)
 
 
 def tanh_coupling(h, gate):
@@ -464,18 +485,22 @@ def tanh_coupling(h, gate):
         raise ContractViolation(
             f"tanh_coupling expects gate {(h.shape[0], h.shape[1], 1)}, got {gate.shape}"
         )
-    th = np.tanh(h.data)
-    tg = np.tanh(gate.data)
-    out = Tensor(h.data + tg * th)
+    out = Tensor(_tanh_coupling(h.data, gate.data))
 
     def backward(g):
+        th = np.tanh(h.data)
+        tg = np.tanh(gate.data)
         gh = g * (1.0 + tg * (1.0 - th * th)) if h.requires_grad else None
         gg = None
         if gate.requires_grad:
             gg = (g * th).sum(axis=2, keepdims=True) * (1.0 - tg * tg)
         return gh, gg
 
-    return _record(out, (h, gate), backward, tanh_coupling)
+    return _record(out, (h, gate), backward, _tanh_coupling)
+
+
+def _tanh_coupling(h, gate):
+    return h + np.tanh(gate) * np.tanh(h)
 
 
 def channel_scale(x, vec):
@@ -484,15 +509,18 @@ def channel_scale(x, vec):
         raise ContractViolation(
             f"channel_scale needs a length-{x.shape[1]} vector, got shape {vec.shape}"
         )
-    v4 = vec.data.reshape(1, -1, 1, 1)
-    out = Tensor(x.data * v4)
+    out = Tensor(_channel_scale(x.data, vec.data))
 
     def backward(g):
-        gx = g * v4 if x.requires_grad else None
+        gx = g * vec.data.reshape(1, -1, 1, 1) if x.requires_grad else None
         gv = (g * x.data).sum(axis=(0, 2, 3)) if vec.requires_grad else None
         return gx, gv
 
-    return _record(out, (x, vec), backward, channel_scale)
+    return _record(out, (x, vec), backward, _channel_scale)
+
+
+def _channel_scale(x, vec):
+    return x * vec.reshape(1, -1, 1, 1)
 
 
 def channel_shift(x, vec):
@@ -501,56 +529,58 @@ def channel_shift(x, vec):
         raise ContractViolation(
             f"channel_shift needs a length-{x.shape[1]} vector, got shape {vec.shape}"
         )
-    out = Tensor(x.data + vec.data.reshape(1, -1, 1, 1))
+    out = Tensor(_channel_shift(x.data, vec.data))
 
     def backward(g):
         gx = g if x.requires_grad else None
         gv = g.sum(axis=(0, 2, 3)) if vec.requires_grad else None
         return gx, gv
 
-    return _record(out, (x, vec), backward, channel_shift)
+    return _record(out, (x, vec), backward, _channel_shift)
+
+
+def _channel_shift(x, vec):
+    return x + vec.reshape(1, -1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
 # elementwise
 
 
-def _unary(x, fn, dfn, op):
-    # op is the public primitive, which replays the node
+def _unary(x, fn, dfn):
     out = Tensor(fn(x.data))
 
     def backward(g):
         return (g * dfn(x.data, out.data) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward, op)
+    return _record(out, (x,), backward, fn)
 
 
 def relu(x):
-    return _unary(x, lambda v: np.maximum(v, 0), lambda v, o: (v > 0).astype(v.dtype), relu)
+    return _unary(x, lambda v: np.maximum(v, 0), lambda v, o: (v > 0).astype(v.dtype))
 
 
 def exp(x):
-    return _unary(x, np.exp, lambda v, o: o, exp)
+    return _unary(x, np.exp, lambda v, o: o)
 
 
 def neg(x):
-    return _unary(x, np.negative, lambda v, o: np.float64(-1.0).astype(v.dtype), neg)
+    return _unary(x, np.negative, lambda v, o: np.float64(-1.0).astype(v.dtype))
 
 
 def square(x):
-    return _unary(x, np.square, lambda v, o: 2.0 * v, square)
+    return _unary(x, np.square, lambda v, o: 2.0 * v)
 
 
 def sigmoid(x):
-    return _unary(x, _expit, lambda v, o: o * (1.0 - o), sigmoid)
+    return _unary(x, _expit, lambda v, o: o * (1.0 - o))
 
 
 def softplus(x):
-    return _unary(x, lambda v: np.logaddexp(0.0, v).astype(v.dtype), lambda v, o: _expit(v),
-                  softplus)
+    return _unary(x, lambda v: np.logaddexp(0.0, v).astype(v.dtype), lambda v, o: _expit(v))
 
 
-def _domain_check(data, ok_mask, op_name, requirement):
+def _domain_check(ok_mask, op_name, requirement):
     if not ok_mask.all():
         idx = tuple(int(i) for i in np.argwhere(~ok_mask)[0])
         raise NumericDomainError(
@@ -559,14 +589,22 @@ def _domain_check(data, ok_mask, op_name, requirement):
 
 
 def sqrt(x):
-    _domain_check(x.data, x.data > 0, "sqrt", "strictly positive inputs")
-    return _unary(x, np.sqrt, lambda v, o: 0.5 / o, sqrt)
+    return _unary(x, _sqrt, lambda v, o: 0.5 / o)
+
+
+def _sqrt(v):
+    _domain_check(v > 0, "sqrt", "strictly positive inputs")
+    return np.sqrt(v)
 
 
 def log2(x):
-    _domain_check(x.data, x.data > 0, "log2", "strictly positive inputs")
     inv_ln2 = 1.0 / np.log(2.0)
-    return _unary(x, np.log2, lambda v, o: inv_ln2 / v, log2)
+    return _unary(x, _log2, lambda v, o: inv_ln2 / v)
+
+
+def _log2(v):
+    _domain_check(v > 0, "log2", "strictly positive inputs")
+    return np.log2(v)
 
 
 def _binary_operands(a, b, op_name):
@@ -590,51 +628,55 @@ def _shrink_to(g, tensor):
 
 def add(a, b):
     a, b = _binary_operands(a, b, "add")
-    out = Tensor(a.data + b.data)
+    out = Tensor(np.add(a.data, b.data))
 
     def backward(g):
         ga = _shrink_to(g, a) if a.requires_grad else None
         gb = _shrink_to(g, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, add)
+    return _record(out, (a, b), backward, np.add)
 
 
 def sub(a, b):
     a, b = _binary_operands(a, b, "sub")
-    out = Tensor(a.data - b.data)
+    out = Tensor(np.subtract(a.data, b.data))
 
     def backward(g):
         ga = _shrink_to(g, a) if a.requires_grad else None
         gb = _shrink_to(-g, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, sub)
+    return _record(out, (a, b), backward, np.subtract)
 
 
 def mul(a, b):
     a, b = _binary_operands(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    out = Tensor(np.multiply(a.data, b.data))
 
     def backward(g):
         ga = _shrink_to(g * b.data, a) if a.requires_grad else None
         gb = _shrink_to(g * a.data, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, mul)
+    return _record(out, (a, b), backward, np.multiply)
 
 
 def div(a, b):
     a, b = _binary_operands(a, b, "div")
-    _domain_check(b.data, b.data != 0, "div", "a nonzero divisor")
-    out = Tensor(a.data / b.data)
+    out = Tensor(_div(a.data, b.data))
 
     def backward(g):
         ga = _shrink_to(g / b.data, a) if a.requires_grad else None
         gb = _shrink_to(-g * out.data / b.data, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, div)
+    return _record(out, (a, b), backward, _div)
+
+
+def _div(a, b):
+    _domain_check(b != 0, "div", "a nonzero divisor")
+    return a / b
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +684,8 @@ def div(a, b):
 
 
 def _reduce(x, mean):
-    # every axis, named: axis=None could pair the terms differently
-    axes = tuple(range(x.ndim))
-    out = Tensor(x.data.mean(axis=axes) if mean else x.data.sum(axis=axes))
+    fn = _mean if mean else _sum
+    out = Tensor(fn(x.data))
 
     def backward(g):
         if not x.requires_grad:
@@ -654,7 +695,19 @@ def _reduce(x, mean):
             g_full = g_full / x.size
         return (np.ascontiguousarray(g_full),)
 
-    return _record(out, (x,), backward, reduce_mean if mean else reduce_sum)
+    return _record(out, (x,), backward, fn)
+
+
+# Reductions name every axis (axis=None could pair the terms differently)
+# and return shape (1,), the shape of the tensor they make.
+
+
+def _sum(v):
+    return v.sum(axis=tuple(range(v.ndim))).reshape(1)
+
+
+def _mean(v):
+    return v.mean(axis=tuple(range(v.ndim))).reshape(1)
 
 
 def reduce_sum(x):
@@ -671,25 +724,33 @@ def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != x.size:
         raise ContractViolation(f"cannot reshape {x.shape} to {shape}")
-    out = Tensor(x.data.reshape(shape))
+
+    def forward(v):
+        return v.reshape(shape)
+
+    out = Tensor(forward(x.data))
 
     def backward(g):
         return (g.reshape(x.shape) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward, lambda v: reshape(v, shape))
+    return _record(out, (x,), backward, forward)
 
 
 def transpose(x, axes):
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ContractViolation(f"transpose axes {axes} are not a permutation for ndim {x.ndim}")
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
+
+    def forward(v):
+        return np.ascontiguousarray(v.transpose(axes))
+
+    out = Tensor(forward(x.data))
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
         return (np.ascontiguousarray(g.transpose(inverse)) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward, lambda v: transpose(v, axes))
+    return _record(out, (x,), backward, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +763,7 @@ def grad_check(fn, inputs):
     ``fn`` maps the given tensors to a scalar Tensor.  It must be
     deterministic, and its value must depend on its inputs only through
     this module's primitives: the program is recorded once, and each
-    difference replays only the recorded primitives downstream of the
+    difference reruns only the recorded kernels downstream of the
     perturbed input.  A program that breaks this contract, for example by
     reading an input's ``.data`` into a constant or by drawing fresh noise
     per call, raises ContractViolation.  Inputs must sit in the interior
@@ -733,10 +794,11 @@ def _numeric_gradients(fn, work, tape, loss, eps):
 
     ``tape`` recorded ``loss = fn(*work)``.  Each f+- replays the nodes
     downstream of the perturbed input against the recorded outputs of all
-    others: the same primitives on the same arrays as a call of ``fn``,
-    so the same bits.  First, one call of ``fn`` at a seeded +-eps
+    others: each node's kernel on the same arrays as a call of ``fn``, so
+    the same bits.  First, one call of ``fn`` at a seeded +-eps
     perturbation of every input must match the replay bit for bit, or a
-    value that bypasses the tape would go unseen.
+    value that bypasses the tape, or a kernel that differs from its
+    primitive, would go unseen.
     """
     checked = [t for t in work if t.requires_grad]
     saved = [t.data.copy() for t in checked]
@@ -781,9 +843,10 @@ def _downstream(nodes, sources):
 
 
 def _replay(nodes, loss):
-    """``loss`` recomputed by rerunning ``nodes``, each on the fresh outputs
-    of earlier ones and the recorded outputs of all other nodes."""
+    """``loss.data`` recomputed by rerunning the kernels of ``nodes``, each
+    on the fresh outputs of earlier ones and the recorded outputs of all
+    other nodes."""
     fresh = {}
     for node in nodes:
-        fresh[id(node.out)] = node.forward(*[fresh.get(id(inp), inp) for inp in node.inputs])
-    return fresh.get(id(loss), loss)
+        fresh[id(node.out)] = node.forward(*[fresh.get(id(inp), inp.data) for inp in node.inputs])
+    return fresh.get(id(loss), loss.data)

@@ -43,10 +43,12 @@ def conv2d(x, kernel, stride=1, padding=0):
             f"conv2d kernel {kh}x{kw} does not fit input {h}x{w} with padding {padding}"
         )
 
-    xp = _pad_hw(x.data, padding)
-    win = _strided_windows(xp, kh, kw, stride)
-    out_data = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = Tensor(np.ascontiguousarray(out_data.transpose(0, 3, 1, 2)))
+    def forward(xdata, kdata):
+        win = _strided_windows(_pad_hw(xdata, padding), kh, kw, stride)
+        out = np.tensordot(win, kdata, axes=([1, 4, 5], [1, 2, 3]))
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+    out = Tensor(forward(x.data, kernel.data))
 
     def backward(g):
         gx = None
@@ -58,7 +60,7 @@ def conv2d(x, kernel, stride=1, padding=0):
             gk = np.tensordot(g, gwin, axes=([0, 2, 3], [0, 2, 3]))
         return gx, gk
 
-    return _record(out, (x, kernel), backward, lambda a, k: conv2d(a, k, stride, padding))
+    return _record(out, (x, kernel), backward, forward)
 
 
 def _scatter_windows(contrib, canvas, stride):
@@ -146,5 +148,4 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
             gk = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
         return gx, gk
 
-    return _record(out, (x, kernel), backward,
-                   lambda a, k: conv2d_transpose(a, k, stride, padding, output_padding))
+    return _record(out, (x, kernel), backward, forward)

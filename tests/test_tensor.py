@@ -1,6 +1,7 @@
 """Tensor engine contracts: forward semantics against brute-force oracles,
 adjointness, and analytic gradients against central finite differences."""
 
+import inspect
 import zlib
 
 import numpy as np
@@ -11,6 +12,12 @@ from maecodec.exceptions import ContractViolation, NumericDomainError
 
 import reference_conv
 from conftest import inner, tensor64
+from test_training import full_loss_program
+
+# every public function of tensor.py but the gradient checker
+PRIMITIVES = sorted(name for name, fn in vars(T).items()
+                    if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                    and not name.startswith("_") and name != "grad_check")
 
 
 def conv2d_loops(x, k, stride, pad):
@@ -375,6 +382,55 @@ class TestBackward:
         np.testing.assert_array_equal(gk1, gk2)
 
 
+def primitive_programs(seed):
+    """(fn, inputs) pairs of scalar programs that together call every
+    primitive, with float64 inputs that require grad."""
+    r = np.random.default_rng(seed)
+    checks = []
+    x = tensor64(r, (1, 2, 6, 6))
+    k = tensor64(r, (3, 2, 3, 3), scale=0.5)
+    checks.append((lambda a, b: T.reduce_sum(T.square(T.conv2d(a, b, 2, 1))), [x, k]))
+    xt = tensor64(r, (1, 2, 4, 4))
+    kt = tensor64(r, (2, 3, 3, 3), scale=0.5)
+    checks.append((lambda a, b: T.reduce_sum(T.square(T.conv2d_transpose(a, b, 2, 1))), [xt, kt]))
+    a = tensor64(r, (3, 4))
+    w = tensor64(r, (4, 2))
+    b = tensor64(r, (2,))
+    checks.append((lambda p, q, s: T.reduce_sum(T.square(T.affine(p, q, s))), [a, w, b]))
+    cm_w = tensor64(r, (2, 3, 4))
+    cm_h = tensor64(r, (2, 4, 5))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_matmul(p, q))), [cm_w, cm_h]))
+    cb = tensor64(r, (2, 3, 1))
+    ch = tensor64(r, (2, 3, 5))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_bias(p, q))), [ch, cb]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.tanh_coupling(p, q))), [ch, cb]))
+    nchw = tensor64(r, (2, 3, 4, 4))
+    vec = tensor64(r, (3,))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_scale(p, q))), [nchw, vec]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_shift(p, q))), [nchw, vec]))
+    pos = T.Tensor(np.abs(r.normal(size=(3, 3))) + 0.5, requires_grad=True)
+    checks.append((lambda p: T.reduce_sum(T.sqrt(p)), [pos]))
+    checks.append((lambda p: T.reduce_sum(T.log2(p)), [pos]))
+    any_ = tensor64(r, (3, 3))
+    for fn in (T.exp, T.square, T.neg, T.sigmoid, T.softplus):
+        checks.append((lambda p, fn=fn: T.reduce_sum(T.square(fn(p))), [any_]))
+    # relu checked away from its kink
+    off = T.Tensor(r.normal(size=(3, 3)) + np.where(r.normal(size=(3, 3)) > 0, 2.0, -2.0),
+                   requires_grad=True)
+    checks.append((lambda p: T.reduce_sum(T.square(T.relu(p))), [off]))
+    u = tensor64(r, (2, 3))
+    v = tensor64(r, (2, 3), scale=0.5)
+    vpos = T.Tensor(np.abs(r.normal(size=(2, 3))) + 1.0, requires_grad=True)
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.add(p, q))), [u, v]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.sub(p, q))), [u, v]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.mul(p, q))), [u, v]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.div(p, q))), [u, vpos]))
+    checks.append((lambda p: T.reduce_sum(T.square(T.reduce_mean(p))), [u]))
+    checks.append((lambda p: T.reduce_sum(T.square(T.reshape(p, (6, 1)))), [u]))
+    checks.append((lambda p: T.reduce_sum(T.square(T.transpose(p, (1, 0)))), [u]))
+    return checks
+
+
 class TestGradCheck:
     def test_quadratic_is_tight(self, rng):
         x = tensor64(rng, (3, 3))
@@ -430,49 +486,39 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_every_primitive(self, seed):
-        r = np.random.default_rng(seed)
-        checks = []
-        x = tensor64(r, (1, 2, 6, 6))
-        k = tensor64(r, (3, 2, 3, 3), scale=0.5)
-        checks.append((lambda a, b: T.reduce_sum(T.square(T.conv2d(a, b, 2, 1))), [x, k]))
-        xt = tensor64(r, (1, 2, 4, 4))
-        kt = tensor64(r, (2, 3, 3, 3), scale=0.5)
-        checks.append((lambda a, b: T.reduce_sum(T.square(T.conv2d_transpose(a, b, 2, 1))), [xt, kt]))
-        a = tensor64(r, (3, 4))
-        w = tensor64(r, (4, 2))
-        b = tensor64(r, (2,))
-        checks.append((lambda p, q, s: T.reduce_sum(T.square(T.affine(p, q, s))), [a, w, b]))
-        cm_w = tensor64(r, (2, 3, 4))
-        cm_h = tensor64(r, (2, 4, 5))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_matmul(p, q))), [cm_w, cm_h]))
-        cb = tensor64(r, (2, 3, 1))
-        ch = tensor64(r, (2, 3, 5))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_bias(p, q))), [ch, cb]))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.tanh_coupling(p, q))), [ch, cb]))
-        nchw = tensor64(r, (2, 3, 4, 4))
-        vec = tensor64(r, (3,))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_scale(p, q))), [nchw, vec]))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_shift(p, q))), [nchw, vec]))
-        pos = T.Tensor(np.abs(r.normal(size=(3, 3))) + 0.5, requires_grad=True)
-        checks.append((lambda p: T.reduce_sum(T.sqrt(p)), [pos]))
-        checks.append((lambda p: T.reduce_sum(T.log2(p)), [pos]))
-        any_ = tensor64(r, (3, 3))
-        for fn in (T.exp, T.square, T.neg, T.sigmoid, T.softplus):
-            checks.append((lambda p, fn=fn: T.reduce_sum(T.square(fn(p))), [any_]))
-        # relu checked away from its kink
-        off = T.Tensor(r.normal(size=(3, 3)) + np.where(r.normal(size=(3, 3)) > 0, 2.0, -2.0),
-                       requires_grad=True)
-        checks.append((lambda p: T.reduce_sum(T.square(T.relu(p))), [off]))
-        u = tensor64(r, (2, 3))
-        v = tensor64(r, (2, 3), scale=0.5)
-        vpos = T.Tensor(np.abs(r.normal(size=(2, 3))) + 1.0, requires_grad=True)
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.add(p, q))), [u, v]))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.sub(p, q))), [u, v]))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.mul(p, q))), [u, v]))
-        checks.append((lambda p, q: T.reduce_sum(T.square(T.div(p, q))), [u, vpos]))
-        checks.append((lambda p: T.reduce_sum(T.square(T.reduce_mean(p))), [u]))
-        checks.append((lambda p: T.reduce_sum(T.square(T.reshape(p, (6, 1)))), [u]))
-        checks.append((lambda p: T.reduce_sum(T.square(T.transpose(p, (1, 0)))), [u]))
-
-        for fn, inputs in checks:
+        for fn, inputs in primitive_programs(seed):
             assert T.grad_check(fn, inputs) < 1e-4
+
+
+class TestRecordedForwards:
+    """Each tape node records the ndarray kernel that made its output, and
+    grad_check replays nodes by calling it.  On the node's own input
+    arrays the kernel must return the output again: the same bits, dtype
+    and shape, C-contiguous, because the small-GEMM layout rule makes
+    downstream bits depend on layout."""
+
+    def test_every_kernel_reproduces_its_node(self, monkeypatch):
+        made_by = {}
+
+        def naming(name, primitive):
+            def wrapper(*args, **kwargs):
+                out = primitive(*args, **kwargs)
+                made_by[id(out)] = name
+                return out
+            return wrapper
+
+        for name in PRIMITIVES:
+            monkeypatch.setattr(T, name, naming(name, getattr(T, name)))
+        covered = set()
+        for fn, inputs in primitive_programs(0) + [full_loss_program(0)]:
+            with T.GradientTape() as tape:
+                fn(*inputs)
+            for node in tape._nodes:
+                name = made_by[id(node.out)]
+                got = node.forward(*[t.data for t in node.inputs])
+                want = node.out.data
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.flags.c_contiguous, name
+                assert got.tobytes() == want.tobytes(), name
+                covered.add(name)
+        assert sorted(covered) == PRIMITIVES
