@@ -143,8 +143,18 @@ def _cmd_evaluate(args):
     from .training import load_dataset
 
     codec = LoadedCodec(args.checkpoint)
+    unlabelled = codec.model.mode == "plain" and codec.checkpoint.lambda_index is None
+    if args.lambda_index is None:
+        indices = operating_points(codec)
+    elif unlabelled or args.lambda_index in operating_points(codec):
+        # an independent checkpoint that records no trained tradeoff is
+        # evaluated at whichever one --lambda-index names
+        indices = [args.lambda_index]
+    else:
+        raise MaecodecError(
+            f"--lambda-index {args.lambda_index} is not a tradeoff this checkpoint serves "
+            f"(it serves {operating_points(codec)})")
     images = load_dataset(args.images)
-    indices = operating_points(codec) if args.lambda_index is None else [args.lambda_index]
     _print_points([mean_point(codec, images, idx) for idx in indices], args.output)
     return 0
 

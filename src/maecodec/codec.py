@@ -222,6 +222,8 @@ def rd_curve(checkpoints, images):
     list of float (H, W, 3) arrays or a directory.  Rows come back sorted
     by (method, bpp ascending).
     """
+    if not checkpoints:
+        raise ContractViolation("rd_curve needs at least one checkpoint")
     if isinstance(images, (str, Path)):
         from .training import load_dataset
 

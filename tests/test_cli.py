@@ -135,6 +135,36 @@ def test_evaluate_plain_checkpoint_serves_its_recorded_tradeoff(workspace, capsy
     assert err.startswith("error: ") and "\n" not in err.strip()
 
 
+def test_evaluate_index_must_be_a_served_tradeoff(workspace, capsys):
+    model = CodecModel(CodecConfig(channels=16, mod_hidden=10),
+                       TradeoffSet((64.0, 512.0, 4096.0)), "plain", seed=1)
+    argv = ["evaluate", "--images", str(workspace / "imgs"), "--checkpoint"]
+    labelled, unlabelled = workspace / "served1.ckpt", workspace / "served.ckpt"
+    snapshot(model, 0, lambda_index=1).save(labelled)
+    snapshot(model, 0).save(unlabelled)
+    # a model trained at tradeoff 1 is not evaluated as if trained at 0
+    for path, index in ((labelled, "0"), (workspace / "model.ckpt", "3")):
+        assert main(argv + [str(path), "--lambda-index", index]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --lambda-index {index} is not a tradeoff")
+        assert "\n" not in captured.err.strip()
+    assert main(argv + [str(labelled), "--lambda-index", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("independent,512,")
+    # an unlabelled independent checkpoint is evaluated at the index given
+    assert main(argv + [str(unlabelled), "--lambda-index", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("independent,64,")
+
+
+def test_rd_curve_without_a_checkpoint_is_an_error(workspace, capsys):
+    out = workspace / "empty_curve.csv"
+    assert main(["rd-curve", "--checkpoint", ",", "--images", str(workspace / "imgs"),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "checkpoint" in err and "\n" not in err.strip()
+    assert not out.exists()
+
+
 def test_inspect_ratio(workspace, capsys):
     ckpt = str(workspace / "model.ckpt")
     out_dir = workspace / "ratios"

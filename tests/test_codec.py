@@ -238,6 +238,10 @@ class TestRdCurve:
         assert len(points) == 1
         assert points[0].method == "independent" and points[0].lam == 512.0
 
+    def test_no_checkpoint(self):
+        with pytest.raises(ContractViolation, match="at least one checkpoint"):
+            rd_curve([], [make_image(60, 64, 64)])
+
     def test_rows_sorted_by_bpp_within_method(self, trained):
         points = rd_curve([trained], make_corpus(2, 96, 96, seed_base=400))
         bpps = [p.bpp for p in points]
