@@ -139,21 +139,18 @@ def _print_points(points, output):
 
 
 def _cmd_evaluate(args):
-    from .codec import LoadedCodec, mean_point, operating_points
+    from .codec import LoadedCodec, mean_point, operating_points, served_indices
     from .training import load_dataset
 
     codec = LoadedCodec(args.checkpoint)
-    unlabelled = codec.model.mode == "plain" and codec.checkpoint.lambda_index is None
     if args.lambda_index is None:
         indices = operating_points(codec)
-    elif unlabelled or args.lambda_index in operating_points(codec):
-        # an independent checkpoint that records no trained tradeoff is
-        # evaluated at whichever one --lambda-index names
+    elif args.lambda_index in served_indices(codec):
         indices = [args.lambda_index]
     else:
         raise MaecodecError(
             f"--lambda-index {args.lambda_index} is not a tradeoff this checkpoint serves "
-            f"(it serves {operating_points(codec)})")
+            f"(it serves {served_indices(codec)})")
     images = load_dataset(args.images)
     _print_points([mean_point(codec, images, idx) for idx in indices], args.output)
     return 0

@@ -85,16 +85,16 @@ def _pad_to_multiple(image_hwc):
 
 def compress_image(codec, image_hwc, lambda_index):
     """Float (H, W, 3) image in [0, 1] -> .mae container bytes."""
-    tradeoffs = codec.tradeoffs
-    if not 0 <= lambda_index < len(tradeoffs):
+    served = served_indices(codec)
+    if lambda_index not in served:
         raise ContractViolation(
-            f"lambda index {lambda_index} out of range for {len(tradeoffs)} tradeoffs"
-        )
+            f"lambda index {lambda_index} is not a tradeoff this checkpoint serves "
+            f"(it serves {served})")
     h, w = image_hwc.shape[:2]
     if h * w > MAX_PIXELS:
         raise ContractViolation(
             f"{h}x{w} image exceeds the codec's budget of {MAX_PIXELS} pixels")
-    q = quantize(codec.latent(image_hwc, tradeoffs.lambdas[lambda_index]))
+    q = quantize(codec.latent(image_hwc, codec.tradeoffs.lambdas[lambda_index]))
     meta = {"width": w, "height": h, "lambda_index": lambda_index,
             "model_hash": codec.model_hash}
     return pack(q, meta, codec.tables()).to_bytes()
@@ -200,6 +200,15 @@ def operating_points(codec):
     if codec.checkpoint.lambda_index is None:
         raise ContractViolation("independent checkpoint does not record its trained tradeoff")
     return [codec.checkpoint.lambda_index]
+
+
+def served_indices(codec):
+    """The tradeoff indices ``codec`` codes at: its operating_points, or
+    every index of its set for an independent checkpoint that records no
+    trained tradeoff."""
+    if codec.model.mode == "plain" and codec.checkpoint.lambda_index is None:
+        return list(range(len(codec.tradeoffs)))
+    return operating_points(codec)
 
 
 def mean_point(codec, images, idx):

@@ -180,54 +180,61 @@ class CdfTable:
         return float(-np.log2(freqs / TOTAL_FREQ).sum())
 
 
-def _quantize_pmf(pmf):
-    """16-bit frequencies: floor-then-largest-residual, minimum 1 each.
+def _quantize_pmfs(pmfs):
+    """16-bit cumulative frequencies for each row of a (C, n) pmf array:
+    floor-then-largest-residual, minimum 1 each.  Returns (C, n+1) int64.
 
-    A floor sum above 65536 (every trained density: the 2^-24 floor and
-    the minimum of 1 inflate it) comes down in passes, each taking 1 from
-    every frequency above 1, largest first with ties by lower index, until
-    the excess is gone.  After k full passes a bin has lost min(k, base-1),
-    so k is read off the sorted excesses and only the last, partial pass
-    is played out bin by bin.
+    A floor sum below 65536 hands one count to each of the bins with the
+    largest residuals, ties by lower index.  A floor sum above it (every
+    trained density: the 2^-24 floor and the minimum of 1 inflate it)
+    comes down in passes, each taking 1 from every frequency above 1,
+    largest first with ties by lower index, until the excess is gone.
+    After k full passes a bin has lost min(k, base-1), so each row's k is
+    read off its sorted excesses and only the last, partial pass is played
+    out, by rank in that order.
     """
-    if len(pmf) > TOTAL_FREQ:
+    rows, n = pmfs.shape
+    if n > TOTAL_FREQ:
         raise ContractViolation(
-            f"{len(pmf)} bins cannot each keep a frequency of 1 out of {TOTAL_FREQ}")
-    scaled = pmf * TOTAL_FREQ
+            f"{n} bins cannot each keep a frequency of 1 out of {TOTAL_FREQ}")
+    scaled = pmfs * TOTAL_FREQ
     base = np.floor(scaled).astype(np.int64)
     np.maximum(base, 1, out=base)
-    deficit = TOTAL_FREQ - int(base.sum())
-    if deficit > 0:
-        residual = scaled - np.floor(scaled)
-        # stable order: largest residual first, ties by lower index
-        order = np.lexsort((np.arange(len(pmf)), -residual))
-        base[order[:deficit]] += 1
-    elif deficit < 0:
-        take = -deficit
-        excess = base - 1
-        spent = np.minimum(excess, _full_passes(excess, take))
-        base -= spent
-        take -= int(spent.sum())
-        # the partial pass, in the order the remaining frequencies give
-        order = np.lexsort((np.arange(len(pmf)), -base))
-        base[order[base[order] > 1][:take]] -= 1
-    cum = np.zeros(len(pmf) + 1, dtype=np.int64)
-    np.cumsum(base, out=cum[1:])
+    deficit = TOTAL_FREQ - base.sum(axis=1, keepdims=True)
+    up, down = deficit[:, 0] > 0, deficit[:, 0] < 0
+    residual = scaled[up] - np.floor(scaled[up])
+    base[up] += _first_in_order(-residual, deficit[up])
+    # k full passes take sum(min(excess, k)); at[j] is that sum at k =
+    # ordered[j], so k lies in [ordered[j-1], ordered[j]) for the j with
+    # at[j-1] <= take < at[j], where a pass takes n - j.  Taking every
+    # excess (take = at[n-1]) gives the same k from j = n - 1.
+    excess, take = base[down] - 1, -deficit[down]
+    ordered = np.sort(excess, axis=1)
+    below = np.zeros((len(take), n + 1), dtype=np.int64)  # sums of the j smallest
+    np.cumsum(ordered, axis=1, out=below[:, 1:])
+    at = below[:, :-1] + ordered * (n - np.arange(n))
+    j = np.minimum(np.sum(at <= take, axis=1, keepdims=True), n - 1)
+    spent = np.minimum(excess, (take - np.take_along_axis(below, j, axis=1)) // (n - j))
+    excess -= spent
+    take -= spent.sum(axis=1, keepdims=True)
+    # the partial pass: spent-out bins rank after every other, and more
+    # than take bins still have an excess
+    excess -= _first_in_order(-excess, take)
+    base[down] = excess + 1
+    cum = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(base, axis=1, out=cum[:, 1:])
     return cum
 
 
-def _full_passes(excess, take):
-    """Largest k with sum(min(excess, k)) <= take (take <= sum(excess))."""
-    ordered = np.sort(excess)
-    n = len(ordered)
-    below = np.concatenate(([0], np.cumsum(ordered)))  # sums of the j smallest
-    # what k full passes take once k reaches each sorted excess
-    at = below[:-1] + ordered * (n - np.arange(n))
-    j = int(np.searchsorted(at, take, side="right"))
-    if j == n:
-        return int(ordered[-1])
-    # k lies in [ordered[j-1], ordered[j]), where a pass takes n - j
-    return int((take - below[j]) // (n - j))
+def _first_in_order(keys, counts):
+    """Mask of the first counts[r] entries of each row r in the row's stable
+    ascending order of ``keys``."""
+    rows, n = keys.shape
+    order = np.argsort(keys, axis=1, kind="stable")
+    order += np.arange(0, rows * n, n)[:, None]
+    mask = np.zeros(rows * n, dtype=bool)
+    mask[order[np.arange(n) < counts]] = True
+    return mask.reshape(rows, n)
 
 
 def _grid_pmfs(density, support):
@@ -273,7 +280,7 @@ def build_cdf_tables(density, support=None):
             f"support [-{support}, {support}] captures only {worst:.8f} of the "
             f"probability mass; rebuild with a larger L"
         )
-    return [CdfTable(_quantize_pmf(pmfs[ch]), support) for ch in range(density.channels)]
+    return [CdfTable(cum, support) for cum in _quantize_pmfs(pmfs)]
 
 
 def choose_support(density):

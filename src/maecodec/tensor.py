@@ -12,6 +12,7 @@ backward pass.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -203,24 +204,33 @@ def _im2col(x, kh, kw, stride, ho, wo):
                       (sc, sh, sw, sn, sh * stride, sw * stride)).copy()
 
 
+# _col2im scatters of at most this many contribution elements, from
+# overlapping windows, run as one np.add.at over an index kept per shape.
+# Measured on one core (float32, index kept), add.at beat the per-tap loop
+# up to about 2**17.5 elements for 4x4 windows at stride 2, 2**19 for 5x5
+# at stride 2 and 2**19.5 for 9x9 at stride 4.  The bound sits below those
+# crossovers because a kept index costs 8 bytes per element: at most
+# _SCATTER_INDICES of them, 512 KiB each, hold 16 MiB.
+_SMALL_SCATTER = 1 << 16
+_SCATTER_INDICES = 32
+
+
 def _col2im(contrib, canvas, kh, kw, stride, h, w):
     """Add a (C*kh*kw, N*h*w) contribution matrix into the strided NCHW canvas.
 
     The adjoint of _im2col.  Taps are added in (a, b) order, so every
     canvas pixel sums its contributions in that order.  Up to
-    _SMALL_SCATTER elements go through one unbuffered np.add.at, whose
-    indices run in the contribution's own (c, a, b, n, i, j) order; larger
-    ones are added one tap slice at a time.  canvas must be C-contiguous.
+    _SMALL_SCATTER elements of overlapping windows go through one
+    unbuffered np.add.at, whose indices run in the contribution's own
+    (c, a, b, n, i, j) order; larger ones are added one tap slice at a
+    time.  Windows that do not overlap (kh, kw <= stride) give every
+    pixel at most one add, the same in either path, so they always take
+    the tap loop.  canvas must be C-contiguous.
     """
     n, c, hc, wc = canvas.shape
-    if contrib.size <= _SMALL_SCATTER:
-        rows = np.arange(kh)[:, None] + stride * np.arange(h)
-        cols = np.arange(kw)[:, None] + stride * np.arange(w)
-        index = (np.arange(c).reshape(c, 1, 1, 1, 1, 1) * (hc * wc)
-                 + np.arange(n).reshape(1, 1, 1, n, 1, 1) * (c * hc * wc)
-                 + rows.reshape(1, kh, 1, 1, h, 1) * wc
-                 + cols.reshape(1, 1, kw, 1, 1, w))
-        np.add.at(canvas.reshape(-1), index.reshape(-1), contrib.reshape(-1))
+    if contrib.size <= _SMALL_SCATTER and (kh > stride or kw > stride):
+        np.add.at(canvas.reshape(-1), _scatter_index(c, kh, kw, stride, h, w, n, hc, wc),
+                  contrib.reshape(-1))
         return canvas
     contrib = contrib.reshape(c, kh, kw, n, h, w)
     for a in range(kh):
@@ -228,6 +238,20 @@ def _col2im(contrib, canvas, kh, kw, stride, h, w):
             canvas[:, :, a : a + (h - 1) * stride + 1 : stride,
                    b : b + (w - 1) * stride + 1 : stride] += contrib[:, a, b].transpose(1, 0, 2, 3)
     return canvas
+
+
+@functools.lru_cache(maxsize=_SCATTER_INDICES)
+def _scatter_index(c, kh, kw, stride, h, w, n, hc, wc):
+    """Read-only flat index into an (n, c, hc, wc) canvas of every element
+    of a (c, kh, kw, n, h, w) contribution, in that order."""
+    rows = np.arange(kh)[:, None] + stride * np.arange(h)
+    cols = np.arange(kw)[:, None] + stride * np.arange(w)
+    index = (np.arange(c).reshape(c, 1, 1, 1, 1, 1) * (hc * wc)
+             + np.arange(n).reshape(1, 1, 1, n, 1, 1) * (c * hc * wc)
+             + rows.reshape(1, kh, 1, 1, h, 1) * wc
+             + cols.reshape(1, 1, kw, 1, 1, w)).reshape(-1)
+    index.setflags(write=False)
+    return index
 
 
 def _rows(arr):
@@ -256,13 +280,6 @@ def _positions(arr):
 # the blocked GEMM, which packs its operands and sums the same way in
 # either layout.
 _SMALL_GEMM = 1 << 21
-
-# _col2im scatters of at most this many contribution elements run as one
-# np.add.at.  Measured on one core, add.at beat the per-tap loop up to 2**16
-# elements for 5x5 and 9x9 windows; the loop won from about 2**16.3 for 5x5
-# windows, and by 2x or more on 512^2 images, where add.at's per-element
-# cost outweighs the loop's per-tap Python overhead.
-_SMALL_SCATTER = 1 << 16
 
 
 def _small_gemm(p, q, m):

@@ -156,6 +156,29 @@ def test_evaluate_index_must_be_a_served_tradeoff(workspace, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("independent,64,")
 
 
+def test_compress_index_must_be_a_served_tradeoff(workspace, capsys):
+    model = CodecModel(CodecConfig(channels=16, mod_hidden=10),
+                       TradeoffSet((64.0, 512.0, 4096.0)), "plain", seed=1)
+    labelled, unlabelled = workspace / "coded1.ckpt", workspace / "coded.ckpt"
+    snapshot(model, 0, lambda_index=1).save(labelled)
+    snapshot(model, 0).save(unlabelled)
+    mae = workspace / "served.mae"
+    argv = ["compress", "--input", str(workspace / "imgs" / "img_0.ppm"),
+            "--output", str(mae), "--checkpoint"]
+    # a model trained at tradeoff 1 writes no stream labelled with tradeoff 0
+    assert main(argv + [str(labelled), "--lambda-index", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not mae.exists()
+    assert captured.err.startswith("error: lambda index 0 is not a tradeoff")
+    assert "\n" not in captured.err.strip()
+    assert main(argv + [str(labelled), "--lambda-index", "1"]) == 0
+    # an unlabelled independent checkpoint codes at the index given
+    assert main(argv + [str(unlabelled), "--lambda-index", "0"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--checkpoint", str(unlabelled), str(mae)]) == 0
+    assert "lambda_index 0 (lambda 64)" in capsys.readouterr().out
+
+
 def test_rd_curve_without_a_checkpoint_is_an_error(workspace, capsys):
     out = workspace / "empty_curve.csv"
     assert main(["rd-curve", "--checkpoint", ",", "--images", str(workspace / "imgs"),

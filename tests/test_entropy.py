@@ -8,7 +8,7 @@ import pytest
 
 from maecodec import tensor as T
 from maecodec.entropy import (PROB_FLOOR, TOTAL_FREQ, CdfTable, _grid_pmfs,
-                              _quantize_pmf, add_uniform_noise, bin_probabilities,
+                              _quantize_pmfs, add_uniform_noise, bin_probabilities,
                               build_cdf_tables, choose_support, init_density,
                               quantize, rate_bits)
 from maecodec.exceptions import ContractViolation, SupportRangeError
@@ -136,7 +136,7 @@ class TestTables:
         assert (sums <= 1.0 + 1e-12).all()
 
     def test_uniform_pmf_gives_uniform_frequencies(self):
-        cum = _quantize_pmf(np.full(256, 1.0 / 256.0))
+        cum = _quantize_pmfs(np.full((1, 256), 1.0 / 256.0))[0]
         np.testing.assert_array_equal(np.diff(cum), np.full(256, 256))
         assert cum[-1] == TOTAL_FREQ
 
@@ -205,7 +205,8 @@ class TestQuantizePmfAgainstReference:
     """The pmf quantizer returns the pass-by-pass reference's table."""
 
     def assert_matches(self, pmf):
-        np.testing.assert_array_equal(_quantize_pmf(pmf), reference_tables.quantize_pmf(pmf))
+        np.testing.assert_array_equal(_quantize_pmfs(pmf[None])[0],
+                                      reference_tables.quantize_pmf(pmf))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_deficit_positive(self, seed):
@@ -240,11 +241,38 @@ class TestQuantizePmfAgainstReference:
         counts = np.random.default_rng(seed).permutation(counts)
         pmf = _counts_pmf(counts)
         assert _deficit(pmf) == -5625
-        cum = _quantize_pmf(pmf)
+        cum = _quantize_pmfs(pmf[None])[0]
         freqs = np.diff(cum)
         assert sorted(set(freqs[counts == 470])) == [434, 435]
         assert (freqs[counts == 470] == 434).sum() == 75
         self.assert_matches(pmf)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_at_once(self, seed):
+        # one call over rows that take the three paths: counts handed out
+        # (random and tied residuals), none moved, counts taken back (a
+        # partial pass alone, and full passes before a tied partial one);
+        # every row must come out as it does alone
+        rng = np.random.default_rng(200 + seed)
+        n = 511
+        exact = rng.integers(1, 200, size=n)
+        exact[0] += TOTAL_FREQ - exact.sum()
+        partial = exact.copy()
+        partial[rng.choice(n, size=40, replace=False)] += 1
+        tied = exact.copy()
+        tied[np.argmax(tied)] -= 40
+        passes = rng.permutation([470] * 150 + [3] * 100 + [2] * 100 + [1] * 161)
+        # a peaked pmf whose tail bins are each raised to a count of 1
+        peaked = np.exp(-np.abs(np.arange(n) - n // 2) / rng.uniform(1.0, 4.0))
+        peaked = np.maximum(peaked / peaked.sum(), PROB_FLOOR)
+        rows = [rng.dirichlet(np.ones(n)), (tied + 0.5) / TOTAL_FREQ, _counts_pmf(exact),
+                _counts_pmf(partial), _counts_pmf(passes), peaked]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        assert sorted(np.sign([_deficit(pmf) for pmf in rows])) == [-1, -1, -1, 0, 1, 1]
+        got = _quantize_pmfs(np.stack(rows))
+        assert got.shape == (len(rows), n + 1)
+        for cum, pmf in zip(got, rows):
+            np.testing.assert_array_equal(cum, reference_tables.quantize_pmf(pmf))
 
     @pytest.mark.parametrize("mass", [0.4, 1.0, 1.7])
     def test_one_bin(self, mass):
@@ -274,4 +302,4 @@ class TestQuantizePmfAgainstReference:
     def test_more_bins_than_counts_rejected(self):
         n = TOTAL_FREQ + 1
         with pytest.raises(ContractViolation, match="frequency of 1"):
-            _quantize_pmf(np.full(n, 1.0 / n))
+            _quantize_pmfs(np.full((1, n), 1.0 / n))

@@ -146,6 +146,11 @@ CONV_CASES = _network_stage_cases() + [
     ("conv", 2, 32, 32, 12, 12, 1, 1, 0, None),
     ("conv", 1, 16, 16, 7, 7, 1, 2, 0, None),
     ("convT", 1, 32, 32, 6, 7, 1, 1, 0, 0),
+    # 2x2 windows at stride 2 do not overlap either: the tap loop at any size
+    ("conv", 2, 8, 6, 8, 10, 2, 2, 0, None),
+    ("conv", 1, 8, 6, 7, 9, 2, 2, 1, None),
+    ("convT", 2, 6, 8, 4, 5, 2, 2, 0, 1),
+    ("convT", 1, 6, 8, 4, 5, 2, 2, 1, 0),
     # every output_padding in [0, stride)
     ("convT", 2, 32, 32, 5, 6, 5, 2, 2, 0),
     ("convT", 1, 32, 32, 5, 6, 5, 2, 2, 1),
@@ -209,7 +214,7 @@ class TestConvAgainstReference:
         ref = _conv_and_grads(reference_conv, case, np.float32)
         for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
             assert a.dtype == b.dtype == np.float32 and a.flags.c_contiguous, name
-            assert np.array_equal(a, b), name
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_float64_matches(self, case):
@@ -218,6 +223,44 @@ class TestConvAgainstReference:
         for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
                                        err_msg=name)
+
+    @pytest.mark.parametrize("c,k,stride,n,h,w", [
+        (4, 1, 1, 2, 5, 6), (4, 2, 2, 2, 5, 6), (4, 1, 2, 1, 5, 6), (4, 5, 2, 1, 5, 6),
+        (16, 4, 2, 1, 17, 17)])
+    def test_negative_zero_contributions(self, c, k, stride, n, h, w):
+        # the GEMMs return +0.0 for a zero input times negative weights, so
+        # -0.0 contributions are fed to the scatter directly: each adds to
+        # the canvas's +0.0, in either path, as the reference's taps do
+        rng = np.random.default_rng(c * 100 + k)
+        contrib = rng.standard_normal((c * k * k, n * h * w)).astype(np.float32)
+        contrib[:, ::2] = -0.0
+        side = (h - 1) * stride + k, (w - 1) * stride + k
+        got = T._col2im(contrib, np.zeros((n, c) + side, np.float32), k, k, stride, h, w)
+        ref = reference_conv._scatter_windows(
+            contrib.reshape(c, k, k, n, h, w).transpose(3, 0, 4, 5, 1, 2),
+            np.zeros((n, c) + side, np.float32), stride)
+        assert got.tobytes() == ref.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_kept_scatter_index_is_read_only(self):
+        index = T._scatter_index(4, 5, 5, 2, 3, 3, 1, 11, 11)
+        assert index.shape == (4 * 5 * 5 * 3 * 3,) and not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 0
+
+    def test_alternating_shapes_match_a_cleared_cache(self):
+        # two scatter shapes in turn, each built once and then reused,
+        # give the bits of a scatter whose index is built afresh
+        cases = [("convT", 1, 8, 16, 5, 6, 4, 2, 1, 1), ("convT", 2, 8, 16, 3, 4, 5, 2, 2, 1)]
+        T._scatter_index.cache_clear()
+        kept = [_conv_and_grads(T, case, np.float32) for case in cases * 3]
+        assert T._scatter_index.cache_info().hits > 0
+        T._scatter_index.cache_clear()
+        for case, got in zip(cases * 3, kept):
+            fresh = _conv_and_grads(T, case, np.float32)
+            T._scatter_index.cache_clear()
+            for a, b in zip(got, fresh):
+                assert a.tobytes() == b.tobytes()
 
     def test_scatter_cases_straddle_the_threshold(self):
         below, at, above = (16 * 4 * 4 * h * w for h, w in SCATTER_POSITIONS)
