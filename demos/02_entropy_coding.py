@@ -34,17 +34,17 @@ for step in range(600):
     if step % 150 == 0:
         print(f"  step {step:4d}: {bits.item() / z.size:.3f} bits/element")
 
-density.support = choose_support(density)
-tables = build_cdf_tables(density)
-print(f"\nsupport chosen: [-{density.support}, {density.support}], "
+support = choose_support(density)
+tables = build_cdf_tables(density, support)
+print(f"\nsupport chosen: [-{support}, {support}], "
       f"{len(tables)} channel tables, 16-bit totals")
 
 # quantize a fresh sample and code it for real
 z = rng.normal(size=(CHANNELS, 24, 24)) * spreads[0]
 q = quantize(z)
-symbols = (q + density.support).ravel()  # channel-major: one run per channel table
+symbols = (q + support).ravel()  # channel-major: one run per channel table
 payload = rc_encode(symbols, tables)
-decoded = rc_decode(payload, tables, len(symbols)).reshape(q.shape) - density.support
+decoded = rc_decode(payload, tables, len(symbols)).reshape(q.shape) - support
 assert np.array_equal(decoded, q), "range coder must be lossless"
 
 estimate = rate_bits(T.Tensor(q[None].astype(np.float64)), density).item()

@@ -63,8 +63,7 @@ class LoadedCodec:
         identical on the encoder and decoder side by construction."""
         if self._tables is None:
             density = self.model.density
-            density.support = choose_support(density)
-            self._tables = build_cdf_tables(density)
+            self._tables = build_cdf_tables(density, choose_support(density))
         return self._tables
 
     def latent(self, image_hwc, lam):

@@ -53,7 +53,6 @@ class FactorizedDensity:
 
     def __init__(self, params):
         self.params = params
-        self.support = DEFAULT_SUPPORT
         self.channels = params["density.matrix0"].shape[0]
 
     def parameters(self):
@@ -118,9 +117,9 @@ def bin_probabilities(values, density):
     """P(bin containing each value): c(v + 1/2) - c(v - 1/2), floored.
 
     ``values`` is an NCHW Tensor of latent samples (integer or noisy).
-    The raw difference is blended with a uniform floor sized to the
-    support, so every probability is >= 2^-24 and the masses over
-    [-L, L] sum to at most 1.  Returns a Tensor shaped like ``values``.
+    The raw difference is blended with a uniform floor sized to the 2L + 1
+    bins of L = DEFAULT_SUPPORT, so every probability is >= 2^-24 and the
+    masses over [-L, L] sum to at most 1.  Returns a Tensor shaped like ``values``.
     """
     if values.ndim != 4:
         raise ContractViolation(f"bin_probabilities expects NCHW, got {values.shape}")
@@ -132,7 +131,7 @@ def bin_probabilities(values, density):
     upper = density.cumulative(T.add(cm, 0.5))
     lower = density.cumulative(T.sub(cm, 0.5))
     raw = T.sub(upper, lower)
-    bins = 2 * density.support + 1
+    bins = 2 * DEFAULT_SUPPORT + 1
     mix = float(bins) * PROB_FLOOR
     p = T.add(T.mul(raw, 1.0 - mix), PROB_FLOOR)
     n, c, h, w = values.shape
@@ -266,13 +265,13 @@ def _grid_pmfs(density, support):
     return pmf, mass
 
 
-def build_cdf_tables(density, support=None):
-    """Deterministic fixed-point CDF tables for every channel.
+def build_cdf_tables(density, support):
+    """Deterministic fixed-point CDF tables for every channel over the
+    symbols [-support, support].
 
     Raises SupportRangeError if [-L, L] misses more than 1e-6 of any
     channel's probability mass.
     """
-    support = density.support if support is None else int(support)
     pmfs, mass = _grid_pmfs(density, support)
     worst = float(mass.min())
     if worst < 1.0 - 1e-6:

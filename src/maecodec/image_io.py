@@ -54,7 +54,12 @@ def read_ppm(path):
     tokens, offset = _read_ppm_tokens(data, 4)
     if tokens[0] != b"P6":
         raise ImageFormatError(f"{path}: expected P6, got {tokens[0]!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ImageFormatError(f"{path}: PPM header values must be decimal integers, "
+                               f"got {b' '.join(tokens[1:])!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
+    if width == 0 or height == 0:
+        raise ImageFormatError(f"{path}: PPM sides must be positive, got {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"{path}: only 8-bit PPM supported, maxval={maxval}")
     expected = width * height * 3

@@ -188,19 +188,22 @@ def _pad_hw(x, pad):
 # back into a canvas.
 
 
-def _im2col(x, kh, kw, stride, ho, wo):
-    """(C, kh, kw, N, ho, wo) array of the strided kh x kw windows of x.
+def _im2col(x, kh, kw, stride, padding):
+    """(C, kh, kw, N, ho, wo) array of the strided kh x kw windows of x,
+    zero-padded by ``padding`` on each side.
 
     Entry (c, a, b, n, i, j) is tap (a, b) of channel c in the window of
     output position (n, i, j).  The result is a fresh C-contiguous copy of
     one strided view, never a view of x: callers keep it for backward.
-    1x1 windows at stride 1 are x itself, returned as a (C, N, H, W) view.
+    1x1 windows at stride 1 are the padded x itself, returned as a
+    (C, N, H, W) view.
     """
+    x = _pad_hw(x, padding)
     if kh == kw == stride == 1:
         return x.transpose(1, 0, 2, 3)
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
     sn, sc, sh, sw = x.strides
-    return as_strided(x, (c, kh, kw, n, ho, wo),
+    return as_strided(x, (c, kh, kw, n, (h - kh) // stride + 1, (w - kw) // stride + 1),
                       (sc, sh, sw, sn, sh * stride, sw * stride)).copy()
 
 
@@ -302,11 +305,6 @@ def _kernel_grad(g, arr, shape):
     return (g2 @ _rows(arr).T).reshape(shape)
 
 
-def _channels_first(mat, n, h, w):
-    # (C, N*h*w) GEMM output -> contiguous (N, C, h, w)
-    return np.ascontiguousarray(mat.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
-
-
 def _check_conv_args(stride, padding):
     if not (isinstance(stride, (int, np.integer)) and stride >= 1):
         raise ContractViolation(f"stride must be a positive int, got {stride!r}")
@@ -337,51 +335,38 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     out_data, cols = _conv2d(x.data, kernel.data, stride, padding)
     out = Tensor(out_data)
-    ho, wo = out_data.shape[2:]
+    # the padded input's rows and columns past the last window
+    extra = ((h + 2 * padding - kh) % stride, (w + 2 * padding - kw) % stride)
 
     def backward(g):
-        kmat = kernel.data.reshape(co, -1)
-        gt = g.transpose(1, 0, 2, 3)
         gx = None
         if x.requires_grad:
-            canvas = np.zeros((n, ci, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-            _col2im(_matmul_positions(kmat.T, gt), canvas, kh, kw, stride, ho, wo)
-            gx = canvas if padding == 0 else np.ascontiguousarray(
-                canvas[:, :, padding : padding + h, padding : padding + w])
+            gx = _conv2d_transpose(g, kernel.data, stride, padding, extra)
         gk = None
         if kernel.requires_grad:
-            gk = _kernel_grad(gt, cols, kernel.shape)
+            gk = _kernel_grad(g.transpose(1, 0, 2, 3), cols, kernel.shape)
         return gx, gk
 
     return _record(out, (x, kernel), backward, lambda a, k: _conv2d(a, k, stride, padding)[0])
 
 
 def _conv2d(x, kernel, stride, padding):
-    """conv2d's forward on arrays: the output and the window buffer that
-    its backward pass keeps."""
-    n, _, h, w = x.shape
+    """conv2d's forward on arrays, and conv2d_transpose's input gradient:
+    the output and the window buffer that a kernel gradient reads."""
     co, _, kh, kw = kernel.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    cols = _im2col(_pad_hw(x, padding), kh, kw, stride, ho, wo)
-    return _channels_first(_matmul_positions(kernel.reshape(co, -1), cols), n, ho, wo), cols
+    cols = _im2col(x, kh, kw, stride, padding)
+    out = _matmul_positions(kernel.reshape(co, -1), cols).reshape((co,) + cols.shape[-3:])
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
-def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
+def conv2d_transpose(x, kernel, stride=1, padding=0):
     """Transposed 2-d convolution (the adjoint of conv2d as a forward map).
 
     ``kernel`` has shape (C_in, C_out, K, K).  Output spatial extent is
-    (H - 1)*stride - 2*pad + K + output_padding.  The default
-    output_padding of stride - 1 makes the op invert conv2d's shape map
-    for inputs whose sides are multiples of the stride.
+    (H - 1)*stride - 2*pad + K + stride - 1, which inverts conv2d's shape
+    map for inputs whose sides are multiples of the stride.
     """
     _check_conv_args(stride, padding)
-    if output_padding is None:
-        output_padding = stride - 1
-    if not 0 <= output_padding < stride:
-        raise ContractViolation(
-            f"output_padding must be in [0, stride), got {output_padding} with stride {stride}"
-        )
     if x.ndim != 4 or kernel.ndim != 4:
         raise ContractViolation(
             f"conv2d_transpose expects 4-d input and kernel, got {x.shape} and {kernel.shape}"
@@ -392,39 +377,37 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
         raise ContractViolation(
             f"conv2d_transpose channel mismatch: input has {ci} channels, kernel expects {ki}"
         )
-    th = (h - 1) * stride - 2 * padding + kh + output_padding
-    tw = (w - 1) * stride - 2 * padding + kw + output_padding
+    th = (h - 1) * stride - 2 * padding + kh + stride - 1
+    tw = (w - 1) * stride - 2 * padding + kw + stride - 1
     if th <= 0 or tw <= 0:
         raise ContractViolation(
             f"conv2d_transpose output extent {th}x{tw} is not positive"
         )
-    canvas_shape = (n, co, (h - 1) * stride + kh + output_padding,
-                    (w - 1) * stride + kw + output_padding)
-    out = Tensor(_conv2d_transpose(x.data, kernel.data, stride, padding, output_padding))
+    extra = (stride - 1, stride - 1)
+    out = Tensor(_conv2d_transpose(x.data, kernel.data, stride, padding, extra))
 
     def backward(g):
-        # re-embed the gradient into canvas coordinates, then gather windows
-        canvas = np.zeros(canvas_shape, dtype=g.dtype)
-        canvas[:, :, padding : padding + th, padding : padding + tw] = g
-        cols = _im2col(canvas, kh, kw, stride, h, w)
-        gx = None
         if x.requires_grad:
-            gx = _channels_first(_matmul_positions(kernel.data.reshape(ci, -1), cols), n, h, w)
+            gx, cols = _conv2d(g, kernel.data, stride, padding)
+        else:
+            gx, cols = None, _im2col(g, kh, kw, stride, padding)
         gk = None
         if kernel.requires_grad:
             gk = _kernel_grad(x.data.transpose(1, 0, 2, 3), cols, kernel.shape)
         return gx, gk
 
     return _record(out, (x, kernel), backward,
-                   lambda a, k: _conv2d_transpose(a, k, stride, padding, output_padding))
+                   lambda a, k: _conv2d_transpose(a, k, stride, padding, extra))
 
 
-def _conv2d_transpose(x, kernel, stride, padding, output_padding):
-    """conv2d_transpose's forward on arrays."""
+def _conv2d_transpose(x, kernel, stride, padding, extra):
+    """conv2d_transpose's forward on arrays, and conv2d's input gradient:
+    the canvas reaches extra = (rows, columns) past the last window (stride
+    - 1 for the forward map) before its padding is cropped."""
     n, ci, h, w = x.shape
     _, co, kh, kw = kernel.shape
-    hc = (h - 1) * stride + kh + output_padding
-    wc = (w - 1) * stride + kw + output_padding
+    hc = (h - 1) * stride + kh + extra[0]
+    wc = (w - 1) * stride + kw + extra[1]
     canvas = np.zeros((n, co, hc, wc), dtype=x.dtype)
     _col2im(_matmul_positions(kernel.reshape(ci, -1).T, x.transpose(1, 0, 2, 3)),
             canvas, kh, kw, stride, h, w)

@@ -45,14 +45,13 @@ def quantize_pmf(pmf):
 class BoxDensity:
     """Uniform density over [-half_width, half_width).
 
-    Exposes the same cumulative/support interface as FactorizedDensity so
+    Exposes the same cumulative interface as FactorizedDensity so
     rate estimation and table building can run against a known-shape
     density (each interior integer bin gets mass 1 / (2 * half_width)).
     """
 
-    def __init__(self, half_width=128, support=None):
+    def __init__(self, half_width=128):
         self.half_width = float(half_width)
-        self.support = int(support if support is not None else half_width)
         self.channels = 1
 
     def parameters(self):

@@ -208,6 +208,18 @@ def test_error_exit_code_is_one(workspace, capsys):
     assert err.startswith("error: ") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("header", [b"P6\nabc 10\n255\n", b"P6\n-1 -1\n255\nabc",
+                                    b"P6\n0 4\n255\n"])
+def test_malformed_ppm_header_is_an_error(workspace, capsys, header):
+    src = workspace / "bad.ppm"
+    src.write_bytes(header)
+    assert main(["compress", "--checkpoint", str(workspace / "model.ckpt"),
+                 "--input", str(src), "--lambda-index", "0",
+                 "--output", str(workspace / "bad.mae")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: ") and "\n" not in err.strip()
+
+
 @pytest.mark.parametrize("flag", ["--checkpoint", "--input"])
 def test_directory_for_a_file_is_an_error(workspace, capsys, flag):
     args = {"--checkpoint": str(workspace / "model.ckpt"),

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from maecodec import tensor as T
-from maecodec.entropy import (PROB_FLOOR, TOTAL_FREQ, CdfTable, _grid_pmfs,
-                              _quantize_pmfs, add_uniform_noise, bin_probabilities,
-                              build_cdf_tables, choose_support, init_density,
-                              quantize, rate_bits)
+from maecodec.entropy import (DEFAULT_SUPPORT, PROB_FLOOR, TOTAL_FREQ, CdfTable,
+                              _grid_pmfs, _quantize_pmfs, add_uniform_noise,
+                              bin_probabilities, build_cdf_tables, choose_support,
+                              init_density, quantize, rate_bits)
 from maecodec.exceptions import ContractViolation, SupportRangeError
 from maecodec.training import Adam, Checkpoint, model_from_checkpoint
 
@@ -58,17 +58,20 @@ class TestNoiseProxy:
 
 
 class TestDensity:
+    # 1/256 blended with the floor of the default support's 2L + 1 bins
+    BOX_P = (1.0 - (2 * DEFAULT_SUPPORT + 1) * PROB_FLOOR) / 256.0 + PROB_FLOOR
+
     def test_uniform_box_probabilities(self):
         box = BoxDensity(half_width=128)
         v = T.Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4) - 8)
         p = bin_probabilities(v, box)
-        np.testing.assert_allclose(p.data, 1.0 / 256.0, rtol=1e-7)
+        np.testing.assert_allclose(p.data, self.BOX_P, rtol=1e-12)
 
     def test_rate_of_uniform_box(self):
-        # 16 symbols at 8 bits each under the 1/256 density
+        # 16 symbols at about 8 bits each under the 1/256 density
         box = BoxDensity(half_width=128)
         v = T.Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4) - 8)
-        assert rate_bits(v, box).item() == pytest.approx(128.0, abs=1e-4)
+        assert rate_bits(v, box).item() == pytest.approx(-16 * np.log2(self.BOX_P), abs=1e-9)
 
     def test_floor_holds_everywhere(self):
         density = init_density(2, dtype=np.float64)
@@ -128,7 +131,7 @@ def _burned_in_density(channels=3, steps=400, scale=2.0):
 class TestTables:
     def test_grid_sum_after_burn_in(self):
         density = _burned_in_density()
-        L = density.support
+        L = DEFAULT_SUPPORT
         grid = np.arange(-L, L + 1, dtype=np.float64)
         vals = T.Tensor(np.broadcast_to(grid, (1, density.channels, 1, grid.size)).copy())
         sums = bin_probabilities(vals, density).data.sum(axis=(0, 2, 3))
@@ -141,7 +144,7 @@ class TestTables:
         assert cum[-1] == TOTAL_FREQ
 
     def test_box_density_table_structure(self):
-        box = BoxDensity(half_width=128, support=128)  # mass fully inside
+        box = BoxDensity(half_width=128)  # mass fully inside
         table = build_cdf_tables(box, support=128)[0]
         freqs = table.frequencies()
         # 255 interior unit bins at 1/256 -> 256 counts; the two edge bins
@@ -152,7 +155,7 @@ class TestTables:
 
     def test_min_frequency_enforced(self):
         density = _burned_in_density(channels=1, steps=150)
-        table = build_cdf_tables(density)[0]
+        table = build_cdf_tables(density, DEFAULT_SUPPORT)[0]
         assert table.frequencies().min() >= 1
         assert table.cum[-1] == TOTAL_FREQ
 
@@ -160,8 +163,8 @@ class TestTables:
         density = _burned_in_density(channels=2, steps=100)
         # a copy taken before the first build evaluates its own grid
         twin = copy.deepcopy(density)
-        t1 = build_cdf_tables(density)
-        t2 = build_cdf_tables(twin)
+        t1 = build_cdf_tables(density, DEFAULT_SUPPORT)
+        t2 = build_cdf_tables(twin, DEFAULT_SUPPORT)
         for a, b in zip(t1, t2):
             np.testing.assert_array_equal(a.cum, b.cum)
 
@@ -181,12 +184,12 @@ class TestTables:
         calls = []
         evaluate = density.cumulative
         density.cumulative = lambda t: calls.append(t.shape) or evaluate(t)
-        density.support = choose_support(density)
-        before = build_cdf_tables(density)
+        support = choose_support(density)
+        before = build_cdf_tables(density, support)
         assert len(calls) == 1
         # a changed parameter invalidates the kept grid
         density.parameters()["density.bias3"].data += 3.0
-        after = build_cdf_tables(density)
+        after = build_cdf_tables(density, support)
         assert len(calls) == 2
         assert not np.array_equal(before[0].cum, after[0].cum)
 

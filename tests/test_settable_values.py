@@ -13,7 +13,7 @@ import pkgutil
 
 import maecodec
 
-SETTABLE_VALUES = 71
+SETTABLE_VALUES = 69
 
 
 def _defaults(fn):

@@ -81,8 +81,6 @@ class TestConvTranspose:
     def test_declared_output_shape(self, rng):
         x = T.Tensor(rng.normal(size=(1, 192, 16, 16)))
         k = T.Tensor(rng.normal(size=(192, 192, 5, 5)))
-        assert T.conv2d_transpose(x, k, 2, 2, output_padding=1).shape == (1, 192, 32, 32)
-        # default output_padding = stride - 1 gives the same shape
         assert T.conv2d_transpose(x, k, 2, 2).shape == (1, 192, 32, 32)
 
     def test_adjoint_of_conv2d(self, rng):
@@ -105,98 +103,104 @@ class TestConvTranspose:
         with T.GradientTape() as tape:
             out = T.reduce_sum(T.mul(T.conv2d(x, k, 2, 1), y))
         gx = tape.backward(out)[x]
-        fwd = T.conv2d_transpose(y, k, 2, 1, output_padding=1).data
+        fwd = T.conv2d_transpose(y, k, 2, 1).data
         np.testing.assert_allclose(fwd, gx, rtol=1e-6, atol=1e-12)
 
-    def test_output_padding_range(self, rng):
-        x = T.Tensor(rng.normal(size=(1, 1, 4, 4)))
-        k = T.Tensor(rng.normal(size=(1, 1, 3, 3)))
-        with pytest.raises(ContractViolation):
-            T.conv2d_transpose(x, k, 2, 1, output_padding=2)
+    def test_backward_runs_private_kernels(self, rng, monkeypatch):
+        # each direction's input gradient is the other's array kernel, with
+        # no validation, tape work or traced call of the public primitive
+        x = tensor64(rng, (1, 3, 9, 10))
+        k = tensor64(rng, (4, 3, 3, 3))
+        kt = tensor64(rng, (4, 2, 3, 3))
+        with T.GradientTape() as tape:
+            loss = T.reduce_sum(T.square(T.conv2d_transpose(T.conv2d(x, k, 2, 1), kt, 2, 1)))
+        for name in ("conv2d", "conv2d_transpose"):
+            monkeypatch.setattr(T, name, None)
+        grads = tape.backward(loss)
+        assert all(np.abs(grads[t]).sum() > 0 for t in (x, k, kt))
 
 
 def _network_stage_cases():
-    # (direction, batch, C_in, C_out, H, W, K, stride, pad, output_padding)
+    # (direction, batch, C_in, C_out, H, W, K, stride, pad)
     # for the analysis stages and their transposed synthesis stages at the
     # desk and benchmark shapes; batch 1 and 8 at 96^2 and 48^2 reach both
     # the small-product and the blocked GEMM path
     cases = []
     for n, side in ((1, 96), (2, 96), (8, 48), (1, 93)):
         h, w = side, side + 6 * (side % 2)  # the odd image is 93 x 99
-        cases += [("conv", n, 3, 32, h, w, 9, 4, 4, None),
-                  ("conv", n, 32, 32, -(-h // 4), -(-w // 4), 5, 2, 2, None),
-                  ("conv", n, 32, 32, -(-h // 8), -(-w // 8), 5, 2, 2, None),
-                  ("convT", n, 32, 32, -(-h // 16), -(-w // 16), 5, 2, 2, 1),
-                  ("convT", n, 32, 32, -(-h // 8), -(-w // 8), 5, 2, 2, 1),
-                  ("convT", n, 32, 3, -(-h // 4), -(-w // 4), 9, 4, 4, 3)]
+        cases += [("conv", n, 3, 32, h, w, 9, 4, 4),
+                  ("conv", n, 32, 32, -(-h // 4), -(-w // 4), 5, 2, 2),
+                  ("conv", n, 32, 32, -(-h // 8), -(-w // 8), 5, 2, 2),
+                  ("convT", n, 32, 32, -(-h // 16), -(-w // 16), 5, 2, 2),
+                  ("convT", n, 32, 32, -(-h // 8), -(-w // 8), 5, 2, 2),
+                  ("convT", n, 32, 3, -(-h // 4), -(-w // 4), 9, 4, 4)]
     return cases
 
 
 CONV_CASES = _network_stage_cases() + [
     # odd sides, both directions
-    ("conv", 2, 3, 32, 37, 45, 9, 4, 4, None),
-    ("conv", 1, 32, 32, 11, 13, 5, 2, 2, None),
-    ("conv", 1, 32, 3, 13, 11, 5, 2, 2, None),
-    ("convT", 2, 32, 32, 5, 7, 5, 2, 2, 1),
+    ("conv", 2, 3, 32, 37, 45, 9, 4, 4),
+    ("conv", 1, 32, 32, 11, 13, 5, 2, 2),
+    ("conv", 1, 32, 3, 13, 11, 5, 2, 2),
+    ("convT", 2, 32, 32, 5, 7, 5, 2, 2),
     # stride 1 with padding 0, and 1x1 kernels as in GDN
-    ("conv", 2, 4, 5, 7, 9, 3, 1, 0, None),
-    ("convT", 2, 4, 5, 7, 9, 3, 1, 0, 0),
-    ("conv", 1, 32, 32, 1, 2, 1, 1, 0, None),
-    ("conv", 1, 32, 32, 6, 7, 1, 1, 0, None),
-    ("conv", 2, 32, 32, 12, 12, 1, 1, 0, None),
-    ("conv", 1, 16, 16, 7, 7, 1, 2, 0, None),
-    ("convT", 1, 32, 32, 6, 7, 1, 1, 0, 0),
+    ("conv", 2, 4, 5, 7, 9, 3, 1, 0),
+    ("convT", 2, 4, 5, 7, 9, 3, 1, 0),
+    ("conv", 1, 32, 32, 1, 2, 1, 1, 0),
+    ("conv", 1, 32, 32, 6, 7, 1, 1, 0),
+    ("conv", 2, 32, 32, 12, 12, 1, 1, 0),
+    ("conv", 1, 16, 16, 7, 7, 1, 2, 0),
+    ("convT", 1, 32, 32, 6, 7, 1, 1, 0),
     # 2x2 windows at stride 2 do not overlap either: the tap loop at any size
-    ("conv", 2, 8, 6, 8, 10, 2, 2, 0, None),
-    ("conv", 1, 8, 6, 7, 9, 2, 2, 1, None),
-    ("convT", 2, 6, 8, 4, 5, 2, 2, 0, 1),
-    ("convT", 1, 6, 8, 4, 5, 2, 2, 1, 0),
-    # every output_padding in [0, stride)
-    ("convT", 2, 32, 32, 5, 6, 5, 2, 2, 0),
-    ("convT", 1, 32, 32, 5, 6, 5, 2, 2, 1),
-    ("convT", 2, 32, 3, 5, 6, 9, 4, 4, 0),
-    ("convT", 2, 32, 3, 5, 6, 9, 4, 4, 1),
-    ("convT", 1, 32, 3, 5, 6, 9, 4, 4, 2),
-    ("convT", 1, 32, 3, 5, 6, 9, 4, 4, 3),
+    ("conv", 2, 8, 6, 8, 10, 2, 2, 0),
+    ("conv", 1, 8, 6, 7, 9, 2, 2, 1),
+    ("convT", 2, 6, 8, 4, 5, 2, 2, 0),
+    ("conv", 1, 8, 6, 6, 8, 2, 2, 1),
+    # conv2d's input gradient runs the transposed kernel with every residue
+    # (H + 2*pad - K) % stride, and conv2d_transpose itself with stride - 1
+    ("conv", 2, 32, 32, 9, 11, 5, 2, 2),
+    ("convT", 1, 32, 32, 5, 6, 5, 2, 2),
+    ("conv", 2, 3, 32, 17, 21, 9, 4, 4),
+    ("conv", 2, 3, 32, 18, 22, 9, 4, 4),
+    ("conv", 1, 3, 32, 19, 23, 9, 4, 4),
+    ("convT", 1, 32, 3, 5, 6, 9, 4, 4),
     # the paper's 192 channels, latent 1^2, 8^2 and 16^2
-    ("conv", 1, 192, 192, 2, 2, 5, 2, 2, None),
-    ("conv", 1, 192, 192, 16, 16, 5, 2, 2, None),
-    ("convT", 1, 192, 192, 1, 1, 5, 2, 2, 1),
-    ("convT", 1, 192, 192, 8, 8, 5, 2, 2, 1),
-    ("convT", 2, 192, 192, 16, 16, 5, 2, 2, 1),
+    ("conv", 1, 192, 192, 2, 2, 5, 2, 2),
+    ("conv", 1, 192, 192, 16, 16, 5, 2, 2),
+    ("convT", 1, 192, 192, 1, 1, 5, 2, 2),
+    ("convT", 1, 192, 192, 8, 8, 5, 2, 2),
+    ("convT", 2, 192, 192, 16, 16, 5, 2, 2),
     # the grad-check model's stages: 3 channels, 16^2 -> 4^2 -> 2^2 -> 1^2 and back
-    ("conv", 1, 3, 3, 16, 16, 9, 4, 4, None),
-    ("conv", 1, 3, 3, 4, 4, 5, 2, 2, None),
-    ("conv", 1, 3, 3, 2, 2, 5, 2, 2, None),
-    ("convT", 1, 3, 3, 1, 1, 5, 2, 2, 1),
-    ("convT", 1, 3, 3, 2, 2, 5, 2, 2, 1),
-    ("convT", 1, 3, 3, 4, 4, 9, 4, 4, 3),
+    ("conv", 1, 3, 3, 16, 16, 9, 4, 4),
+    ("conv", 1, 3, 3, 4, 4, 5, 2, 2),
+    ("conv", 1, 3, 3, 2, 2, 5, 2, 2),
+    ("convT", 1, 3, 3, 1, 1, 5, 2, 2),
+    ("convT", 1, 3, 3, 2, 2, 5, 2, 2),
+    ("convT", 1, 3, 3, 4, 4, 9, 4, 4),
     # a window as wide as its input: the strided view is already contiguous
-    ("conv", 1, 3, 4, 5, 5, 5, 1, 0, None),
-    ("conv", 1, 3, 32, 9, 9, 9, 4, 0, None),
+    ("conv", 1, 3, 4, 5, 5, 5, 1, 0),
+    ("conv", 1, 3, 32, 9, 9, 9, 4, 0),
 ]
 
 # col2im scatters (16*4*4) x (ho*wo) contribution elements: 15x17, 16x16 and
 # 16x17 positions sit just below, at and just above tensor._SMALL_SCATTER,
 # in the input gradient of conv2d and the forward map of conv2d_transpose
 SCATTER_POSITIONS = ((15, 17), (16, 16), (16, 17))
-CONV_CASES += [("conv", 1, 16, 8, 2 * ho, 2 * wo, 4, 2, 1, None)
+CONV_CASES += [("conv", 1, 16, 8, 2 * ho, 2 * wo, 4, 2, 1)
                for ho, wo in SCATTER_POSITIONS]
-CONV_CASES += [("convT", 1, 8, 16, h, w, 4, 2, 1, 1) for h, w in SCATTER_POSITIONS]
+CONV_CASES += [("convT", 1, 8, 16, h, w, 4, 2, 1) for h, w in SCATTER_POSITIONS]
 
 
 def _conv_and_grads(module, case, dtype):
-    kind, n, ci, co, h, w, k, stride, pad, out_pad = case
+    kind, n, ci, co, h, w, k, stride, pad = case
     rng = np.random.default_rng(zlib.crc32(repr(case).encode()))
     x = rng.standard_normal((n, ci, h, w)).astype(dtype)
     kshape = (co, ci, k, k) if kind == "conv" else (ci, co, k, k)
     kernel = (0.1 * rng.standard_normal(kshape)).astype(dtype)
     xt, kt = T.Tensor(x, requires_grad=True), T.Tensor(kernel, requires_grad=True)
     with T.GradientTape() as tape:
-        if kind == "conv":
-            y = module.conv2d(xt, kt, stride, pad)
-        else:
-            y = module.conv2d_transpose(xt, kt, stride, pad, output_padding=out_pad)
+        conv = module.conv2d if kind == "conv" else module.conv2d_transpose
+        y = conv(xt, kt, stride, pad)
         weights = np.random.default_rng(7).standard_normal(y.shape).astype(dtype)
         loss = T.reduce_sum(T.mul(y, T.Tensor(weights)))
     grads = tape.backward(loss)
@@ -251,7 +255,7 @@ class TestConvAgainstReference:
     def test_alternating_shapes_match_a_cleared_cache(self):
         # two scatter shapes in turn, each built once and then reused,
         # give the bits of a scatter whose index is built afresh
-        cases = [("convT", 1, 8, 16, 5, 6, 4, 2, 1, 1), ("convT", 2, 8, 16, 3, 4, 5, 2, 2, 1)]
+        cases = [("convT", 1, 8, 16, 5, 6, 4, 2, 1), ("convT", 2, 8, 16, 3, 4, 5, 2, 2)]
         T._scatter_index.cache_clear()
         kept = [_conv_and_grads(T, case, np.float32) for case in cases * 3]
         assert T._scatter_index.cache_info().hits > 0
@@ -270,14 +274,12 @@ class TestConvAgainstReference:
     def test_im2col_never_shares_memory_with_its_input(self, case):
         # the window buffer is kept for backward; only the 1x1 stride-1
         # gather is documented as a view of its input
-        kind, n, ci, co, h, w, k, stride, pad, out_pad = case
+        kind, n, ci, co, h, w, k, stride, pad = case
         if kind == "conv":
-            x = np.zeros((n, ci, h + 2 * pad, w + 2 * pad))
-            ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-        else:  # the backward pass gathers from the uncropped output canvas
-            x = np.zeros((n, co, (h - 1) * stride + k + out_pad, (w - 1) * stride + k + out_pad))
-            ho, wo = h, w
-        cols = T._im2col(x, k, k, stride, ho, wo)
+            x = np.zeros((n, ci, h, w))
+        else:  # the backward pass gathers from the output's gradient
+            x = np.zeros((n, co, h * stride - 2 * pad + k - 1, w * stride - 2 * pad + k - 1))
+        cols = T._im2col(x, k, k, stride, pad)
         if k == stride == 1:
             assert np.shares_memory(cols, x)
         else:

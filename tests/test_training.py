@@ -1,6 +1,7 @@
 """Training loop: objective structure, Adam oracle, tradeoff sampling,
 determinism, checkpoints, schedules, and dataset handling."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -264,6 +265,22 @@ class TestTrainLoop:
         series = train(tiny_config(total_iters=5, halve_at=5, snapshot_iters=(2, 4, 7)),
                        images)
         assert [it for it, _ in series] == [2, 4, 7, 9]
+
+    def test_training_bits_pinned(self):
+        # a few desk-shaped steps (32 channels, 64^2 crops, every stage's
+        # GEMM and scatter path) per mode: a refactor of tensor, gdn,
+        # entropy, network, training or synthetic that claims the same
+        # bits fails here in a second, long before a desk retrain
+        images = make_corpus(2, 64, 64)
+        digest = hashlib.sha256()
+        for mode, index in (("mae", None), ("bottleneck", None), ("independent", 0)):
+            cfg = tiny_config(mode=mode, lambda_index=index, channels=32, crop_size=64,
+                              total_iters=6, halve_at=5, phase2_iters=3, seed=3,
+                              snapshot_iters=(1,))
+            for _, ckpt in train(cfg, images):
+                digest.update(ckpt.to_bytes())
+        assert digest.hexdigest() == \
+            "e22ae9311e5c60b420d3789e6a0d31cecfac39bf5b9e2a4cc895e0465588af39"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bottleneck_holds_the_independent_top_model(self, seed):
