@@ -1,9 +1,11 @@
 """File-level codec: padding policy, deterministic bitstreams, bpp
 accounting, hash guarding, R-D curve output, and feature-ratio maps."""
 
+import hashlib
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from maecodec.synthetic import make_corpus, make_image
 from maecodec.training import Checkpoint, TrainingConfig, snapshot, train
 
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
+BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+                    / "desk_mae32_seed0.ckpt")
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +139,26 @@ class TestCompressDecompress:
         rec = decompress(out, rec_path, ckpt_path)
         assert rec.shape == (80, 64, 3)
         np.testing.assert_allclose(read_ppm(rec_path), rec, atol=1 / 255)
+
+
+class TestCodecBitsPinned:
+    def test_benchmark_checkpoint_bits_pinned(self):
+        # every bitstream and reconstruction of the benchmark's trained
+        # checkpoint (32 channels) at three sizes and every tradeoff: a
+        # refactor of the transforms, the entropy model or the coder that
+        # claims the same bits fails here in a few seconds
+        codec = LoadedCodec(Checkpoint.load(BENCH_CHECKPOINT))
+        digest = hashlib.sha256()
+        for seed, (h, w) in enumerate(((96, 96), (93, 99), (512, 512))):
+            image = make_image(4000 + seed, h, w)
+            for index in range(len(codec.tradeoffs.lambdas)):
+                data = compress_image(codec, image, index)
+                rec = decompress_image(codec, data)
+                digest.update(data)
+                digest.update(repr((rec.dtype.str, rec.shape)).encode())
+                digest.update(rec.tobytes())
+        assert digest.hexdigest() == \
+            "7e4a45668ff2120b536e77bcdbfac16f85fcd13a7742cc672724fe7a0a41a481"
 
 
 class TestMutatedStreams:
