@@ -287,6 +287,8 @@ def feature_ratio(checkpoint, image_hwc, lam_a, lam_b, channels=None):
         ch = int(ch)
         if not 0 <= ch < total:
             raise ContractViolation(f"channel {ch} out of range [0, {total})")
+        if ch in result["channels"]:
+            raise ContractViolation(f"channel {ch} given more than once")
         num, den = z_a[ch], z_b[ch]
         valid = np.abs(den) > 1e-6
         ratio = np.where(valid, num / np.where(valid, den, 1.0), np.nan)

@@ -117,11 +117,12 @@ class GradientTape:
         return False
 
     def backward(self, loss, params=None):
-        """Accumulate d(loss)/d(tensor) for every requires_grad tensor.
+        """Accumulate d(loss)/d(leaf) for every requires_grad leaf on the
+        tape: a tensor that no recorded primitive made.
 
-        Returns a dict keyed by Tensor identity.  Tensors recorded on the
-        tape but not reachable from ``loss`` get exact zeros, as does any
-        tensor in ``params`` that never appeared on the tape.
+        Returns a dict keyed by Tensor identity.  Leaves not reachable from
+        ``loss`` get exact zeros, as does any tensor in ``params`` that never
+        appeared on the tape.  Tensors the tape made get no entry.
         """
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractViolation("backward() needs a scalar loss tensor")
@@ -130,10 +131,11 @@ class GradientTape:
         self._spent = True
 
         flowing = {id(loss): np.ones_like(loss.data)}
+        made = {id(node.out) for node in self._nodes}
         watched = {}
         for node in reversed(self._nodes):
             for inp in node.inputs:
-                if inp.requires_grad and id(inp) not in watched:
+                if inp.requires_grad and id(inp) not in made and id(inp) not in watched:
                     watched[id(inp)] = inp
             g = flowing.pop(id(node.out), None)
             if g is None:
@@ -184,8 +186,8 @@ def _pad_hw(x, pad):
 # Convolutions run as GEMMs over channels-first arrays: an array of shape
 # (..., N, h, w) stands for the matrix whose columns are its N*h*w spatial
 # positions and whose rows flatten the leading axes.  _im2col gathers the
-# strided windows of a feature map into such an array, _col2im adds one
-# back into a canvas.
+# strided windows of a feature map into such an array; _col2im and
+# _phase_scatter add one back.
 
 
 def _im2col(x, kh, kw, stride, padding):
@@ -207,31 +209,35 @@ def _im2col(x, kh, kw, stride, padding):
                       (sc, sh, sw, sn, sh * stride, sw * stride)).copy()
 
 
-# _col2im scatters of at most this many contribution elements, from
-# overlapping windows, run as one np.add.at over an index kept per shape.
-# Measured on one core (float32, index kept), add.at beat the per-tap loop
-# up to about 2**17.5 elements for 4x4 windows at stride 2, 2**19 for 5x5
-# at stride 2 and 2**19.5 for 9x9 at stride 4.  The bound sits below those
-# crossovers because a kept index costs 8 bytes per element: at most
+# Overlapping windows whose contribution matrix has at most this many
+# elements are scattered by _col2im as one np.add.at over an index kept per
+# shape; larger ones by _phase_scatter.  Measured on one core (float32, index
+# kept), the two cross near this bound: 0.263 against 0.262 ms at 69,632
+# elements.  A kept index costs 8 bytes per element: at most
 # _SCATTER_INDICES of them, 512 KiB each, hold 16 MiB.
 _SMALL_SCATTER = 1 << 16
 _SCATTER_INDICES = 32
+
+
+def _phase_major(kh, kw, stride, size):
+    """Whether a scatter of ``size`` contribution elements runs through
+    _phase_scatter: overlapping windows past _SMALL_SCATTER."""
+    return (kh > stride or kw > stride) and size > _SMALL_SCATTER
 
 
 def _col2im(contrib, canvas, kh, kw, stride, h, w):
     """Add a (C*kh*kw, N*h*w) contribution matrix into the strided NCHW canvas.
 
     The adjoint of _im2col.  Taps are added in (a, b) order, so every
-    canvas pixel sums its contributions in that order.  Up to
-    _SMALL_SCATTER elements of overlapping windows go through one
-    unbuffered np.add.at, whose indices run in the contribution's own
-    (c, a, b, n, i, j) order; larger ones are added one tap slice at a
-    time.  Windows that do not overlap (kh, kw <= stride) give every
-    pixel at most one add, the same in either path, so they always take
-    the tap loop.  canvas must be C-contiguous.
+    canvas pixel sums its contributions in that order.  Overlapping
+    windows go through one unbuffered np.add.at, whose indices run in the
+    contribution's own (c, a, b, n, i, j) order; callers send it at most
+    _SMALL_SCATTER elements (_phase_major).  Windows that do not overlap
+    (kh, kw <= stride) give every pixel at most one add, so they are added
+    one tap slice at a time at any size.  canvas must be C-contiguous.
     """
     n, c, hc, wc = canvas.shape
-    if contrib.size <= _SMALL_SCATTER and (kh > stride or kw > stride):
+    if kh > stride or kw > stride:
         np.add.at(canvas.reshape(-1), _scatter_index(c, kh, kw, stride, h, w, n, hc, wc),
                   contrib.reshape(-1))
         return canvas
@@ -241,6 +247,44 @@ def _col2im(contrib, canvas, kh, kw, stride, h, w):
             canvas[:, :, a : a + (h - 1) * stride + 1 : stride,
                    b : b + (w - 1) * stride + 1 : stride] += contrib[:, a, b].transpose(1, 0, 2, 3)
     return canvas
+
+
+def _phase_scatter(contrib, out, kh, kw, stride, padding, h, v):
+    """Write the scatter of a (C*kh*kw, N*h*v) contribution matrix, cropped
+    by ``padding`` on each side, into the NCHW array ``out``.
+
+    _col2im by stride phase.  Canvas pixel (i*stride + a, j*stride + b)
+    receives tap (a, b) of window (i, j), so the pixels of one phase
+    (a % stride, b % stride) receive only that phase's taps, tap (a, b) at
+    position (i + a // stride, j + b // stride) of the phase's plane.  The
+    contribution's windows run v >= w + (kw - 1) // stride wide, zero past
+    the input's w columns; on a plane whose rows are v long, each tap is
+    one flat slice at offset (a // stride)*v + b // stride, and what it
+    adds past a row's end comes from those zero columns.  Every pixel
+    starts at +0.0 and adds its taps in (a, b) order, as in _col2im: under
+    round to nearest, a sum that starts at +0.0 never becomes -0.0, so the
+    zero columns' +-0.0 leave every bit as it is.
+    """
+    n, c, ho, wo = out.shape
+    rows = -(-(ho + 2 * padding) // stride) + 1
+    contrib = contrib.reshape(c, kh, kw, n, h * v)
+    plane = np.empty((c, n, rows * v), dtype=contrib.dtype)
+    grid = plane.reshape(c, n, rows, v)
+    for ry in range(stride):
+        oy = (ry - padding) % stride
+        u0 = (oy + padding) // stride
+        for rx in range(stride):
+            ox = (rx - padding) % stride
+            v0 = (ox + padding) // stride
+            target = out[:, :, oy::stride, ox::stride]
+            plane.fill(0)
+            for a in range(ry, kh, stride):
+                for b in range(rx, kw, stride):
+                    at = (a // stride) * v + b // stride
+                    plane[:, :, at : at + h * v] += contrib[:, a, b]
+            target[...] = grid[:, :, u0 : u0 + target.shape[2],
+                               v0 : v0 + target.shape[3]].transpose(1, 0, 2, 3)
+    return out
 
 
 @functools.lru_cache(maxsize=_SCATTER_INDICES)
@@ -408,9 +452,16 @@ def _conv2d_transpose(x, kernel, stride, padding, extra):
     _, co, kh, kw = kernel.shape
     hc = (h - 1) * stride + kh + extra[0]
     wc = (w - 1) * stride + kw + extra[1]
+    taps = kernel.reshape(ci, -1).T
+    if _phase_major(kh, kw, stride, co * kh * kw * n * h * w):
+        v = -(-wc // stride)
+        wide = np.zeros((n, ci, h, v), dtype=x.dtype)
+        wide[:, :, :, :w] = x
+        out = np.empty((n, co, hc - 2 * padding, wc - 2 * padding), dtype=x.dtype)
+        return _phase_scatter(_matmul_positions(taps, wide.transpose(1, 0, 2, 3)), out,
+                              kh, kw, stride, padding, h, v)
     canvas = np.zeros((n, co, hc, wc), dtype=x.dtype)
-    _col2im(_matmul_positions(kernel.reshape(ci, -1).T, x.transpose(1, 0, 2, 3)),
-            canvas, kh, kw, stride, h, w)
+    _col2im(_matmul_positions(taps, x.transpose(1, 0, 2, 3)), canvas, kh, kw, stride, h, w)
     return np.ascontiguousarray(canvas[:, :, padding : hc - padding, padding : wc - padding])
 
 

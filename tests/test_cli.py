@@ -249,6 +249,17 @@ def test_inspect_ratio_channels_not_integers(workspace, capsys):
     assert err.startswith("error: --channels") and "\n" not in err.strip()
 
 
+def test_inspect_ratio_repeated_channel(workspace, capsys):
+    out_dir = workspace / "ratios_repeated"
+    assert main(["inspect-ratio", "--checkpoint", str(workspace / "model.ckpt"),
+                 "--input", str(workspace / "imgs" / "img_1.ppm"), "--lambda-index", "2,0",
+                 "--channels", "0,0", "--output", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "channel 0" in captured.err
+    assert "\n" not in captured.err.strip() and "wrote" not in captured.out
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line", ["channels = abc", "lambdas = 64,x",
                                   "snapshot_iters = 1,,2"])
 def test_malformed_config_value_is_an_error(tmp_path, capsys, line):

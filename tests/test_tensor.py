@@ -164,6 +164,19 @@ CONV_CASES = _network_stage_cases() + [
     ("conv", 2, 3, 32, 18, 22, 9, 4, 4),
     ("conv", 1, 3, 32, 19, 23, 9, 4, 4),
     ("convT", 1, 32, 3, 5, 6, 9, 4, 4),
+    # past tensor._SMALL_SCATTER the transposed kernel scatters by stride
+    # phase: two images, a different residue on each axis, padding 0 and
+    # padding wider than the stride, 5x5/2 and 9x9/4
+    ("conv", 2, 32, 32, 16, 17, 5, 2, 2),
+    ("conv", 2, 32, 32, 19, 18, 5, 2, 0),
+    ("conv", 2, 32, 32, 15, 16, 5, 2, 3),
+    ("convT", 2, 32, 32, 7, 8, 5, 2, 0),
+    ("convT", 2, 32, 32, 7, 8, 5, 2, 3),
+    ("conv", 2, 3, 32, 47, 50, 9, 4, 4),
+    ("conv", 2, 3, 32, 56, 55, 9, 4, 0),
+    ("conv", 2, 3, 32, 45, 44, 9, 4, 6),
+    ("convT", 2, 32, 3, 12, 13, 9, 4, 0),
+    ("convT", 2, 32, 3, 12, 13, 9, 4, 6),
     # the paper's 192 channels, latent 1^2, 8^2 and 16^2
     ("conv", 1, 192, 192, 2, 2, 5, 2, 2),
     ("conv", 1, 192, 192, 16, 16, 5, 2, 2),
@@ -182,13 +195,18 @@ CONV_CASES = _network_stage_cases() + [
     ("conv", 1, 3, 32, 9, 9, 9, 4, 0),
 ]
 
-# col2im scatters (16*4*4) x (ho*wo) contribution elements: 15x17, 16x16 and
-# 16x17 positions sit just below, at and just above tensor._SMALL_SCATTER,
-# in the input gradient of conv2d and the forward map of conv2d_transpose
+# the transposed kernel scatters (16*4*4) x (ho*wo) contribution elements:
+# 15x17, 16x16 and 16x17 positions sit just below, at and just above
+# tensor._SMALL_SCATTER, in the input gradient of conv2d and the forward map
+# of conv2d_transpose
 SCATTER_POSITIONS = ((15, 17), (16, 16), (16, 17))
 CONV_CASES += [("conv", 1, 16, 8, 2 * ho, 2 * wo, 4, 2, 1)
                for ho, wo in SCATTER_POSITIONS]
 CONV_CASES += [("convT", 1, 8, 16, h, w, 4, 2, 1) for h, w in SCATTER_POSITIONS]
+
+# (c, k, stride, n, h, w) scatters of -0.0 contributions
+NEGATIVE_ZERO_CASES = [(4, 1, 1, 2, 5, 6), (4, 2, 2, 2, 5, 6), (4, 1, 2, 1, 5, 6),
+                       (4, 5, 2, 1, 5, 6), (16, 4, 2, 1, 17, 17), (3, 9, 4, 2, 12, 13)]
 
 
 def _conv_and_grads(module, case, dtype):
@@ -228,18 +246,24 @@ class TestConvAgainstReference:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
                                        err_msg=name)
 
-    @pytest.mark.parametrize("c,k,stride,n,h,w", [
-        (4, 1, 1, 2, 5, 6), (4, 2, 2, 2, 5, 6), (4, 1, 2, 1, 5, 6), (4, 5, 2, 1, 5, 6),
-        (16, 4, 2, 1, 17, 17)])
+    @pytest.mark.parametrize("c,k,stride,n,h,w", NEGATIVE_ZERO_CASES)
     def test_negative_zero_contributions(self, c, k, stride, n, h, w):
         # the GEMMs return +0.0 for a zero input times negative weights, so
         # -0.0 contributions are fed to the scatter directly: each adds to
-        # the canvas's +0.0, in either path, as the reference's taps do
+        # the canvas's +0.0, in every path, as the reference's taps do; the
+        # phase path's zero columns past w are -0.0 as well
         rng = np.random.default_rng(c * 100 + k)
         contrib = rng.standard_normal((c * k * k, n * h * w)).astype(np.float32)
         contrib[:, ::2] = -0.0
         side = (h - 1) * stride + k, (w - 1) * stride + k
-        got = T._col2im(contrib, np.zeros((n, c) + side, np.float32), k, k, stride, h, w)
+        if T._phase_major(k, k, stride, contrib.size):
+            v = -(-side[1] // stride)
+            wide = np.full((c * k * k, n, h, v), -0.0, np.float32)
+            wide[..., :w] = contrib.reshape(c * k * k, n, h, w)
+            got = T._phase_scatter(wide, np.empty((n, c) + side, np.float32),
+                                   k, k, stride, 0, h, v)
+        else:
+            got = T._col2im(contrib, np.zeros((n, c) + side, np.float32), k, k, stride, h, w)
         ref = reference_conv._scatter_windows(
             contrib.reshape(c, k, k, n, h, w).transpose(3, 0, 4, 5, 1, 2),
             np.zeros((n, c) + side, np.float32), stride)
@@ -269,6 +293,13 @@ class TestConvAgainstReference:
     def test_scatter_cases_straddle_the_threshold(self):
         below, at, above = (16 * 4 * 4 * h * w for h, w in SCATTER_POSITIONS)
         assert below < at == T._SMALL_SCATTER < above
+
+    def test_negative_zero_cases_reach_every_path(self):
+        # the tap loop (windows that do not overlap), add.at and the phase path
+        paths = {"loop" if k <= stride else
+                 "phase" if T._phase_major(k, k, stride, c * k * k * n * h * w) else "add.at"
+                 for c, k, stride, n, h, w in NEGATIVE_ZERO_CASES}
+        assert paths == {"loop", "add.at", "phase"}
 
     @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_im2col_never_shares_memory_with_its_input(self, case):
@@ -388,6 +419,17 @@ class TestBackward:
         grads = tape.backward(loss, params=[x, unused])
         np.testing.assert_array_equal(grads[unused], np.zeros((2, 2)))
         assert grads[unused].dtype == unused.data.dtype
+
+    def test_only_leaves_are_returned(self):
+        # y is made on the tape: it gets no entry, rather than a zero that
+        # reads as dz/dy although dz/dy is [1, 1]
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.GradientTape() as tape:
+            y = T.mul(x, x)
+            z = T.reduce_sum(y)
+        grads = tape.backward(z)
+        assert list(grads) == [x]
+        np.testing.assert_array_equal(grads[x], [2.0, 4.0])
 
     def test_non_scalar_loss_rejected(self, rng):
         x = tensor64(rng, (2, 2))
