@@ -107,10 +107,11 @@ def _checked_bitstream(codec, data):
             f"bitstream was made with checkpoint {bits.model_hash:016x}, "
             f"decoder has {codec.model_hash:016x}"
         )
-    if bits.lambda_index >= len(codec.tradeoffs):
+    served = served_indices(codec)
+    if bits.lambda_index not in served:
         raise BitstreamError(
-            f"lambda index {bits.lambda_index} out of range for "
-            f"{len(codec.tradeoffs)} tradeoffs")
+            f"lambda index {bits.lambda_index} is not a tradeoff this checkpoint serves "
+            f"(it serves {served})")
     if bits.height * bits.width > MAX_PIXELS:
         raise BitstreamError(
             f"{bits.height}x{bits.width} image exceeds the codec's budget of "

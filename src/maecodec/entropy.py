@@ -67,8 +67,8 @@ class FactorizedDensity:
         p = self.params
         h = t
         for i in range(len(_FILTERS) + 1):
-            h = T.channel_bias(T.channel_matmul(T.softplus(p[f"density.matrix{i}"]), h),
-                               p[f"density.bias{i}"])
+            h = T.add(T.channel_matmul(T.softplus(p[f"density.matrix{i}"]), h),
+                      p[f"density.bias{i}"])
             if i < len(_FILTERS):
                 h = T.tanh_coupling(h, p[f"density.gate{i}"])
         return T.sigmoid(h)

@@ -27,7 +27,7 @@ def _pooled_norm(x, beta, gamma):
         )
     energy = T.square(x)
     mixed = T.conv2d(energy, T.reshape(gamma, (channels, channels, 1, 1)))
-    return T.sqrt(T.channel_shift(mixed, beta))
+    return T.sqrt(T.add(mixed, T.reshape(beta, (1, channels, 1, 1))))
 
 
 def gdn_forward(x, beta, gamma):

@@ -264,7 +264,9 @@ class CodecModel:
 
     def _condition(self, h, site, lam):
         """``h`` times the mode's vector at ``site``, if it has one there."""
-        return T.channel_scale(h, self._vector(site, lam)) if site in self.conditioning else h
+        if site not in self.conditioning:
+            return h
+        return T.mul(h, T.reshape(self._vector(site, lam), (1, h.shape[1], 1, 1)))
 
     def _vector(self, site, lam):
         """The mode's vector at ``site`` for tradeoff ``lam``, built here."""
@@ -296,8 +298,8 @@ class CodecModel:
         p = self._params
         h = x
         for i, (_, stride, pad) in enumerate(ENCODER_STAGES):
-            h = T.channel_shift(T.conv2d(h, p[f"encoder.conv{i}.kernel"], stride, pad),
-                                p[f"encoder.conv{i}.bias"])
+            h = T.conv2d(h, p[f"encoder.conv{i}.kernel"], stride, pad)
+            h = T.add(h, T.reshape(p[f"encoder.conv{i}.bias"], (1, h.shape[1], 1, 1)))
             h = self._condition(h, ENCODER_SITES[i], lam)
             h = gdn_forward(h, p[f"encoder.gdn{i}.beta"], p[f"encoder.gdn{i}.gamma"])
         return self._condition(h, ENCODER_SITES[-1], lam)
@@ -317,9 +319,8 @@ class CodecModel:
         h = self._condition(z, DECODER_SITES[0], lam)
         p = self._params
         for i, (_, stride, pad) in enumerate(DECODER_STAGES):
-            h = T.channel_shift(
-                T.conv2d_transpose(h, p[f"decoder.tconv{i}.kernel"], stride, pad),
-                p[f"decoder.tconv{i}.bias"])
+            h = T.conv2d_transpose(h, p[f"decoder.tconv{i}.kernel"], stride, pad)
+            h = T.add(h, T.reshape(p[f"decoder.tconv{i}.bias"], (1, h.shape[1], 1, 1)))
             if i < len(DECODER_STAGES) - 1:
                 h = self._condition(h, DECODER_SITES[i + 1], lam)
                 h = igdn_forward(h, p[f"decoder.igdn{i}.beta"], p[f"decoder.igdn{i}.gamma"])

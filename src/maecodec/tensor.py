@@ -1,9 +1,16 @@
 """Dense n-d float tensors with a reverse-mode gradient tape.
 
 Every primitive the codec needs lives here: 2-d (transposed) convolution,
-dense affine maps, elementwise nonlinearities, channel-broadcast scale/shift
-for NCHW feature maps, per-channel batched matmuls for the entropy model,
-reductions, and a finite-difference gradient checker.
+dense affine maps, elementwise nonlinearities, per-channel batched matmuls
+for the entropy model, reductions, and a finite-difference gradient
+checker.
+
+add, sub, mul and div take two operands of the same shape, a scalar (a
+one-element operand), or an operand of the same ndim whose every extent is
+1 or the other's, broadcast along its axes of extent 1: a (1, C, 1, 1)
+per-channel vector against an NCHW feature map, a (C, o, 1) bias against a
+(C, o, M) activation.  Pairs that broadcast only to a third shape are
+rejected.
 
 Forward evaluation always works; gradients are recorded only while a
 GradientTape is active.  Tapes are single use: one forward pass, one
@@ -511,22 +518,6 @@ def channel_matmul(weight, h):
     return _record(out, (weight, h), backward, np.matmul)
 
 
-def channel_bias(h, bias):
-    """Add a (C, o, 1) bias to a (C, o, M) activation."""
-    if h.ndim != 3 or bias.shape != (h.shape[0], h.shape[1], 1):
-        raise ContractViolation(
-            f"channel_bias expects bias {(h.shape[0], h.shape[1], 1)}, got {bias.shape}"
-        )
-    out = Tensor(np.add(h.data, bias.data))
-
-    def backward(g):
-        gh = g if h.requires_grad else None
-        gb = g.sum(axis=2, keepdims=True) if bias.requires_grad else None
-        return gh, gb
-
-    return _record(out, (h, bias), backward, np.add)
-
-
 def tanh_coupling(h, gate):
     """h + tanh(gate) * tanh(h) with gate of shape (C, o, 1).
 
@@ -552,46 +543,6 @@ def tanh_coupling(h, gate):
 
 def _tanh_coupling(h, gate):
     return h + np.tanh(gate) * np.tanh(h)
-
-
-def channel_scale(x, vec):
-    """Multiply an NCHW tensor by a per-channel vector, broadcast over N, H, W."""
-    if x.ndim != 4 or vec.ndim != 1 or vec.shape[0] != x.shape[1]:
-        raise ContractViolation(
-            f"channel_scale needs a length-{x.shape[1]} vector, got shape {vec.shape}"
-        )
-    out = Tensor(_channel_scale(x.data, vec.data))
-
-    def backward(g):
-        gx = g * vec.data.reshape(1, -1, 1, 1) if x.requires_grad else None
-        gv = (g * x.data).sum(axis=(0, 2, 3)) if vec.requires_grad else None
-        return gx, gv
-
-    return _record(out, (x, vec), backward, _channel_scale)
-
-
-def _channel_scale(x, vec):
-    return x * vec.reshape(1, -1, 1, 1)
-
-
-def channel_shift(x, vec):
-    """Add a per-channel vector to an NCHW tensor, broadcast over N, H, W."""
-    if x.ndim != 4 or vec.ndim != 1 or vec.shape[0] != x.shape[1]:
-        raise ContractViolation(
-            f"channel_shift needs a length-{x.shape[1]} vector, got shape {vec.shape}"
-        )
-    out = Tensor(_channel_shift(x.data, vec.data))
-
-    def backward(g):
-        gx = g if x.requires_grad else None
-        gv = g.sum(axis=(0, 2, 3)) if vec.requires_grad else None
-        return gx, gv
-
-    return _record(out, (x, vec), backward, _channel_shift)
-
-
-def _channel_shift(x, vec):
-    return x + vec.reshape(1, -1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -663,18 +614,29 @@ def _binary_operands(a, b, op_name):
         a = _as_constant(a, like=b if isinstance(b, Tensor) else None)
     if not isinstance(b, Tensor):
         b = _as_constant(b, like=a)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    if not (_broadcasts(a, b) or _broadcasts(b, a)):
         raise ContractViolation(
-            f"{op_name} needs equal shapes or a scalar operand, got {a.shape} and {b.shape}"
+            f"{op_name} needs equal shapes, a scalar operand or one that broadcasts "
+            f"to the other's shape, got {a.shape} and {b.shape}"
         )
     return a, b
 
 
+def _broadcasts(x, to):
+    # one element, or x has to's ndim and each of its extents is 1 or to's
+    return x.size == 1 or (x.ndim == to.ndim
+                           and all(s in (1, t) for s, t in zip(x.shape, to.shape)))
+
+
 def _shrink_to(g, tensor):
-    # reduce a full-shape gradient back to a scalar operand's shape
+    # sum a full-shape gradient back to an operand's shape: over every
+    # element for a one-element operand, else over its broadcast axes
     if g.shape == tensor.shape:
         return g
-    return np.asarray(g.sum(), dtype=g.dtype).reshape(tensor.shape)
+    if tensor.size == 1:
+        return np.asarray(g.sum(), dtype=g.dtype).reshape(tensor.shape)
+    return g.sum(axis=tuple(i for i, s in enumerate(tensor.shape) if s != g.shape[i]),
+                 keepdims=True)
 
 
 def add(a, b):

@@ -347,6 +347,10 @@ class Checkpoint:
                 raise CheckpointError(
                     f"malformed checkpoint header: lambdas must be finite numbers, "
                     f"got {header['lambdas']!r}")
+            if lambda_index is not None and not 0 <= int(lambda_index) < len(lambdas):
+                raise CheckpointError(
+                    f"malformed checkpoint header: lambda_index {lambda_index!r} out of "
+                    f"range for {len(lambdas)} tradeoffs")
             ckpt = cls(
                 config=CodecConfig(channels=header["channels"], mod_hidden=header["mod_hidden"]),
                 mode=header["mode"],

@@ -11,7 +11,7 @@ import pytest
 
 import desk_protocol as desk
 from maecodec import tensor as T
-from maecodec.codec import LoadedCodec, compress_image, evaluate_image, feature_ratio
+from maecodec.codec import LoadedCodec, compress_image, feature_ratio, mean_point
 from maecodec.entropy import TOTAL_FREQ, quantize, rate_bits
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet, param_count
 from maecodec.rangecoder import HEADER_SIZE, Bitstream
@@ -170,9 +170,8 @@ def test_criterion_4_entropy_estimate_fidelity(desk_paths, desk_eval_images):
 
 
 def _mean_rd(codec, images, idx):
-    pts = [evaluate_image(codec, img, idx) for img in images]
-    return (float(np.mean([p.bpp for p in pts])),
-            float(np.mean([p.psnr_db for p in pts])))
+    point = mean_point(codec, images, idx)
+    return point.bpp, point.psnr_db
 
 
 def _psnr_monotone_in_bpp(points):

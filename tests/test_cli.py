@@ -1,5 +1,7 @@
 """Command-line surface: every subcommand, exit codes, and output formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,50 @@ def test_compress_index_must_be_a_served_tradeoff(workspace, capsys):
     capsys.readouterr()
     assert main(["inspect", "--checkpoint", str(unlabelled), str(mae)]) == 0
     assert "lambda_index 0 (lambda 64)" in capsys.readouterr().out
+
+
+def test_checkpoint_tradeoff_index_out_of_range(workspace, capsys):
+    model = CodecModel(CodecConfig(channels=16, mod_hidden=10),
+                       TradeoffSet((64.0, 512.0, 4096.0)), "plain", seed=1)
+    images = workspace / "imgs"
+    for index in (7, -1):
+        path = workspace / f"index{index}.ckpt"
+        snapshot(model, 0, lambda_index=index).save(path)
+        mae = workspace / f"index{index}.mae"
+        for argv in (["compress", "--input", str(images / "img_0.ppm"), "--output", str(mae),
+                      "--lambda-index", "0"],
+                     ["evaluate", "--images", str(images)]):
+            assert main(argv + ["--checkpoint", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not mae.exists()
+            assert captured.err.startswith("error: malformed checkpoint header: lambda_index")
+            assert "\n" not in captured.err.strip()
+
+
+def test_stream_at_a_tradeoff_the_checkpoint_does_not_serve(workspace, capsys):
+    model = CodecModel(CodecConfig(channels=16, mod_hidden=10),
+                       TradeoffSet((64.0, 512.0, 4096.0)), "plain", seed=1)
+    labelled = workspace / "unserved1.ckpt"
+    snapshot(model, 0, lambda_index=1).save(labelled)
+    mae, patched = workspace / "unserved.mae", workspace / "unserved0.mae"
+    assert main(["compress", "--input", str(workspace / "imgs" / "img_0.ppm"),
+                 "--output", str(mae), "--checkpoint", str(labelled),
+                 "--lambda-index", "1"]) == 0
+    capsys.readouterr()
+    # the header's tradeoff byte follows magic, version, flags, width and height
+    at = struct.calcsize(">4sBBHH")
+    data = bytearray(mae.read_bytes())
+    assert data[at] == 1
+    data[at] = 0
+    patched.write_bytes(bytes(data))
+    out = workspace / "unserved0.ppm"
+    for argv in (["decompress", "--input", str(patched), "--output", str(out)],
+                 ["inspect", str(patched)]):
+        assert main(argv + ["--checkpoint", str(labelled)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: lambda index 0 is not a tradeoff")
+        assert "\n" not in captured.err.strip()
 
 
 def test_rd_curve_without_a_checkpoint_is_an_error(workspace, capsys):

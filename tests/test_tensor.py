@@ -362,9 +362,27 @@ class TestElementwise:
         np.testing.assert_array_equal(T.add(x, 1.0).data, [2.0, 3.0])
         np.testing.assert_array_equal(T.mul(x, 2.0).data, [2.0, 4.0])
 
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            T.add(T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    @pytest.mark.parametrize("shapes", [
+        ((2,), (3,)),
+        ((3,), (1, 3, 1, 1)),      # the ndim differs
+        ((2, 1), (1, 3)),          # broadcast only to a third shape
+        ((2, 3, 4), (2, 2, 4)),
+    ], ids=str)
+    def test_binary_shape_mismatch(self, op, shapes):
+        for a, b in (shapes, shapes[::-1]):
+            with pytest.raises(ContractViolation, match="broadcasts"):
+                op(T.Tensor(np.ones(a)), T.Tensor(np.ones(b)))
+
+    def test_binary_broadcast(self):
+        x = T.Tensor(np.arange(1.0, 25.0).reshape(2, 3, 2, 2))
+        v = T.Tensor(np.array([1.0, 2.0, 4.0]).reshape(1, 3, 1, 1))
+        for op, ref in ((T.add, np.add), (T.sub, np.subtract),
+                        (T.mul, np.multiply), (T.div, np.divide)):
+            for a, b in ((x, v), (v, x)):
+                out = op(a, b)
+                assert out.shape == (2, 3, 2, 2)
+                assert out.data.tobytes() == ref(a.data, b.data).tobytes()
 
     def test_domain_errors_identify_element(self):
         with pytest.raises(NumericDomainError, match=r"\(1,\)"):
@@ -489,12 +507,30 @@ def primitive_programs(seed):
     checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_matmul(p, q))), [cm_w, cm_h]))
     cb = tensor64(r, (2, 3, 1))
     ch = tensor64(r, (2, 3, 5))
-    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_bias(p, q))), [ch, cb]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.add(p, q))), [ch, cb]))
     checks.append((lambda p, q: T.reduce_sum(T.square(T.tanh_coupling(p, q))), [ch, cb]))
+    # a per-channel vector broadcast over an NCHW map, either operand first
     nchw = tensor64(r, (2, 3, 4, 4))
     vec = tensor64(r, (3,))
-    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_scale(p, q))), [nchw, vec]))
-    checks.append((lambda p, q: T.reduce_sum(T.square(T.channel_shift(p, q))), [nchw, vec]))
+    vpos3 = T.Tensor(np.abs(r.normal(size=3)) + 1.0, requires_grad=True)
+    nchw_pos = T.Tensor(np.abs(r.normal(size=(2, 3, 4, 4))) + 1.0, requires_grad=True)
+
+    def per_channel(op, full_first):
+        def program(p, q):
+            q4 = T.reshape(q, (1, 3, 1, 1))
+            return T.reduce_sum(T.square(op(p, q4) if full_first else op(q4, p)))
+        return program
+
+    checks.append((per_channel(T.mul, True), [nchw, vec]))
+    checks.append((per_channel(T.add, True), [nchw, vec]))
+    checks.append((per_channel(T.sub, False), [nchw, vec]))
+    checks.append((per_channel(T.div, True), [nchw, vpos3]))
+    checks.append((per_channel(T.div, False), [nchw_pos, vec]))
+    # one-element operands, of another ndim and of the same ndim
+    one = tensor64(r, (1,))
+    one4 = tensor64(r, (1, 1, 1, 1))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.mul(p, q))), [nchw, one]))
+    checks.append((lambda p, q: T.reduce_sum(T.square(T.sub(q, p))), [nchw, one4]))
     pos = T.Tensor(np.abs(r.normal(size=(3, 3))) + 0.5, requires_grad=True)
     checks.append((lambda p: T.reduce_sum(T.sqrt(p)), [pos]))
     checks.append((lambda p: T.reduce_sum(T.log2(p)), [pos]))

@@ -431,7 +431,9 @@ class TestCheckpoint:
                              ("iteration", float("inf")),
                              # tradeoffs that are not finite numbers
                              ("lambdas", ["a"]), ("lambdas", [64, float("nan")]),
-                             ("lambdas", [True]), ("lambdas", [10 ** 400])):
+                             ("lambdas", [True]), ("lambdas", [10 ** 400]),
+                             # a tradeoff index outside the 3 tradeoffs
+                             ("lambda_index", 7), ("lambda_index", -1)):
             header = json.loads(data[9 : 9 + head_len])
             header[field] = value
             head = json.dumps(header).encode()
