@@ -2,7 +2,7 @@
 
 Binary PPM (P6, 8-bit) is the native, bit-exact reference path; grayscale
 maps are written as binary PGM (P5).  PNG support is optional and comes
-from Pillow when it is installed.
+from Pillow when it is installed; it is imported only for such files.
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ContractViolation, MaecodecError
-
-try:
-    from PIL import Image as _PILImage
-except ImportError:  # pragma: no cover - environment dependent
-    _PILImage = None
 
 
 class ImageFormatError(MaecodecError, ValueError):
@@ -93,19 +88,25 @@ def _to_u8(image, channels):
     return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
 
 
+def _pillow(failure):
+    """Pillow's Image module; ImageFormatError(failure) if not installed."""
+    try:
+        from PIL import Image
+    except ImportError:
+        raise ImageFormatError(f"{failure} and Pillow is not installed") from None
+    return Image
+
+
 def read_image(path):
     """Decode any supported image file to float32 (H, W, 3) in [0, 1]."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in (".ppm", ".pnm"):
         return read_ppm(path)
-    if _PILImage is not None:
-        with _PILImage.open(path) as img:
-            arr = np.asarray(img.convert("RGB"), dtype=np.uint8)
-        return arr.astype(np.float32) / 255.0
-    raise ImageFormatError(
-        f"cannot decode {path}: only PPM is supported natively and Pillow is not installed"
-    )
+    pil = _pillow(f"cannot decode {path}: only PPM is supported natively")
+    with pil.open(path) as img:
+        arr = np.asarray(img.convert("RGB"), dtype=np.uint8)
+    return arr.astype(np.float32) / 255.0
 
 
 def write_image(path, image):
@@ -118,9 +119,5 @@ def write_image(path, image):
     if suffix == ".pgm":
         write_pgm(path, image)
         return
-    if _PILImage is not None:
-        _PILImage.fromarray(_to_u8(image, channels=3)).save(path)
-        return
-    raise ImageFormatError(
-        f"cannot encode {path}: only PPM/PGM are supported natively and Pillow is not installed"
-    )
+    pil = _pillow(f"cannot encode {path}: only PPM/PGM are supported natively")
+    pil.fromarray(_to_u8(image, channels=3)).save(path)

@@ -3,7 +3,8 @@
 MS-SSIM uses five dyadic scales with the standard literature weights, an
 11x11 Gaussian window with sigma 1.5, and is computed on Rec.601 luma.
 Both metrics report dB capped at 99 (identical inputs would otherwise be
-infinite).
+infinite).  scipy.signal, which MS-SSIM alone needs, is imported on its
+first call, so the codec and training paths never load it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .exceptions import ContractViolation
 
@@ -56,6 +56,8 @@ _WINDOW = _gaussian_window()
 
 def _ssim_pair(x, y):
     """Mean luminance and contrast-structure terms over valid windows."""
+    from scipy.signal import fftconvolve
+
     c1 = _K1 ** 2
     c2 = _K2 ** 2
     mu_x = fftconvolve(x, _WINDOW, mode="valid")

@@ -340,24 +340,33 @@ class Checkpoint:
                     raise CheckpointError(f"checkpoint truncated inside block {name!r}")
                 params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
                 offset = end
-            lambda_index = header.get("lambda_index")
+            lambda_index, iteration = header.get("lambda_index"), header["iteration"]
             # checked, not converted: to_bytes writes the values back as read
             lambdas = tuple(header["lambdas"])
             if not all(type(v) in (int, float) and math.isfinite(v) for v in lambdas):
                 raise CheckpointError(
                     f"malformed checkpoint header: lambdas must be finite numbers, "
                     f"got {header['lambdas']!r}")
-            if lambda_index is not None and not 0 <= int(lambda_index) < len(lambdas):
+            if type(iteration) is not int or iteration < 0:
                 raise CheckpointError(
-                    f"malformed checkpoint header: lambda_index {lambda_index!r} out of "
-                    f"range for {len(lambdas)} tradeoffs")
+                    f"malformed checkpoint header: iteration must be an integer >= 0, "
+                    f"got {iteration!r}")
+            if lambda_index is not None and (
+                    type(lambda_index) is not int or not 0 <= lambda_index < len(lambdas)):
+                raise CheckpointError(
+                    f"malformed checkpoint header: lambda_index {lambda_index!r} is not an "
+                    f"index of the {len(lambdas)} tradeoffs")
+            if lambda_index is not None and header["mode"] != "plain":
+                raise CheckpointError(
+                    f"malformed checkpoint header: lambda_index set in mode "
+                    f"{header['mode']!r}; only an independent (plain) model records one")
             ckpt = cls(
                 config=CodecConfig(channels=header["channels"], mod_hidden=header["mod_hidden"]),
                 mode=header["mode"],
                 lambdas=lambdas,
-                iteration=int(header["iteration"]),
+                iteration=iteration,
                 params=params,
-                lambda_index=None if lambda_index is None else int(lambda_index),
+                lambda_index=lambda_index,
             )
         except CheckpointError:
             raise

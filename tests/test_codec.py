@@ -160,6 +160,11 @@ class TestCodecBitsPinned:
         assert digest.hexdigest() == \
             "7e4a45668ff2120b536e77bcdbfac16f85fcd13a7742cc672724fe7a0a41a481"
 
+    def test_evaluate_image_msssim_bits_pinned(self):
+        codec = LoadedCodec(Checkpoint.load(BENCH_CHECKPOINT))
+        point = evaluate_image(codec, make_image(93, 176, 176), 1)
+        assert point.msssim_db.hex() == "0x1.126bd4990ae2ep+2"
+
 
 class TestMutatedStreams:
     def test_seeded_mutation_fuzz(self, trained):

@@ -76,6 +76,14 @@ class TestMsSsim:
         with pytest.raises(ContractViolation):
             ms_ssim(rng.random((32, 32, 3)), rng.random((32, 48, 3)))
 
+    def test_bits_pinned(self):
+        # a change to how MS-SSIM is computed or loaded that claims the same
+        # bits fails here: two synthetic images, and one with uniform noise
+        x, y = make_image(90, 192, 192), make_image(91, 192, 192)
+        noisy = np.clip(x + np.random.default_rng(92).uniform(-0.05, 0.05, x.shape), 0, 1)
+        assert ms_ssim(x, y).hex() == "0x1.04cef3884e895p-2"
+        assert ms_ssim(x, noisy).hex() == "0x1.f827f84e28aa5p-1"
+
 
 class TestDbMap:
     def test_formula(self):

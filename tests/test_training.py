@@ -441,6 +441,30 @@ class TestCheckpoint:
                 Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
                                       + data[9 + head_len:])
 
+    @staticmethod
+    def _patched(model, index, **fields):
+        data = snapshot(model, 2, lambda_index=index).to_bytes()
+        head_len = struct.unpack(">I", data[5:9])[0]
+        head = json.dumps(dict(json.loads(data[9 : 9 + head_len]), **fields)).encode()
+        return data[:5] + struct.pack(">I", len(head)) + head + data[9 + head_len:]
+
+    def test_non_integer_index_and_iteration_rejected(self):
+        plain = tiny_model("plain")
+        for fields in ({"lambda_index": 1.7}, {"lambda_index": True}, {"lambda_index": "1"},
+                       {"iteration": 2.5}, {"iteration": True}):
+            with pytest.raises(CheckpointError, match="malformed"):
+                Checkpoint.from_bytes(self._patched(plain, 1, **fields))
+
+    def test_negative_iteration_rejected(self):
+        with pytest.raises(CheckpointError, match="iteration must be an integer >= 0, got -3"):
+            Checkpoint.from_bytes(self._patched(tiny_model(), None, iteration=-3))
+
+    def test_lambda_index_outside_plain_mode_rejected(self):
+        assert Checkpoint.from_bytes(self._patched(tiny_model("plain"), 1)).lambda_index == 1
+        for mode in ("mae", "bottleneck"):
+            with pytest.raises(CheckpointError, match=f"lambda_index set in mode '{mode}'"):
+                Checkpoint.from_bytes(self._patched(tiny_model(mode), None, lambda_index=1))
+
     def test_architecture_mismatch_rejected(self):
         ckpt = snapshot(tiny_model(), 0)
         missing = dict(ckpt.params)
