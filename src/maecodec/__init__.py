@@ -10,6 +10,7 @@ and evaluation metrics.
 """
 
 from . import tensor
+from .checkpoint import Checkpoint, model_from_checkpoint
 from .codec import (LoadedCodec, RdPoint, compress, compress_image, decompress,
                     decompress_image, feature_ratio, rd_curve, write_rd_csv)
 from .entropy import (CdfTable, FactorizedDensity, add_uniform_noise, bin_probabilities,
@@ -19,12 +20,12 @@ from .exceptions import (BitstreamError, CheckpointError, CodingError,
                          ContractViolation, DatasetError, MaecodecError,
                          ModelHashMismatch, NumericDomainError, SupportRangeError)
 from .gdn import gdn_forward, igdn_forward
+from .gradcheck import grad_check
 from .metrics import ms_ssim, ms_ssim_db, psnr
 from .network import CodecConfig, CodecModel, TradeoffSet, param_count, parameter_table
 from .rangecoder import Bitstream, pack, rc_decode, rc_encode, unpack
-from .tensor import GradientTape, Tensor, grad_check
-from .training import (Adam, Checkpoint, TrainingConfig, load_dataset,
-                       load_training_config, model_from_checkpoint, next_batch,
+from .tensor import GradientTape, Tensor
+from .training import (Adam, TrainingConfig, load_dataset, load_training_config, next_batch,
                        rd_terms, sample_tradeoff, snapshot, train)
 
 __version__ = "0.1.0"

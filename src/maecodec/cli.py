@@ -170,7 +170,7 @@ def _cmd_rd_curve(args):
 def _cmd_inspect_ratio(args):
     from .codec import feature_ratio, write_ratio_maps
     from .image_io import read_image
-    from .training import Checkpoint
+    from .checkpoint import Checkpoint
 
     try:
         idx_a, idx_b = (int(v) for v in args.lambda_index.split(","))

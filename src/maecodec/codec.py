@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import Checkpoint, model_from_checkpoint
 from .entropy import build_cdf_tables, choose_support, quantize
 from .exceptions import BitstreamError, ContractViolation, ModelHashMismatch
 from .image_io import read_image, write_image, write_pgm
 from .metrics import ms_ssim, ms_ssim_db, psnr
 from .network import DOWNSAMPLE
 from .rangecoder import Bitstream, pack, unpack
-from .training import NETWORK_MODES, Checkpoint, model_from_checkpoint
+from .training import NETWORK_MODES
 
 
 # Largest image, in pixels, the codec compresses or decompresses (2048 x

@@ -2,8 +2,8 @@
 
 Every primitive the codec needs lives here: 2-d (transposed) convolution,
 dense affine maps, elementwise nonlinearities, per-channel batched matmuls
-for the entropy model, reductions, and a finite-difference gradient
-checker.
+for the entropy model and reductions.  The finite-difference gradient
+checker is in gradcheck.py; ``tensor.grad_check`` still finds it.
 
 add, sub, mul and div take two operands of the same shape, a scalar (a
 one-element operand), or an operand of the same ndim whose every extent is
@@ -766,100 +766,9 @@ def transpose(x, axes):
     return _record(out, (x,), backward, forward)
 
 
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(fn, inputs):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``fn`` maps the given tensors to a scalar Tensor.  It must be
-    deterministic, and its value must depend on its inputs only through
-    this module's primitives: the program is recorded once, and each
-    difference reruns only the recorded kernels downstream of the
-    perturbed input.  A program that breaks this contract, for example by
-    reading an input's ``.data`` into a constant or by drawing fresh noise
-    per call, raises ContractViolation.  Inputs must sit in the interior
-    of every domain the program touches.  Everything is evaluated in
-    double precision.  Returns max over coordinates of
-    |analytic - numeric| / (|analytic| + 1e-8).
-    """
-    work = [Tensor(t.data.astype(np.float64), requires_grad=t.requires_grad) for t in inputs]
-    with GradientTape() as tape:
-        loss = fn(*work)
-    if loss.size != 1:
-        raise ContractViolation("grad_check needs a scalar-valued program")
-    grads = tape.backward(loss)
-
-    eps = 1e-4  # central-difference step
-    worst = 0.0
-    checked = [t for t in work if t.requires_grad]
-    for t, numeric in zip(checked, _numeric_gradients(fn, work, tape, loss, eps)):
-        g = grads.get(t)
-        analytic = np.zeros_like(t.data) if g is None else g
-        worst = np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8), initial=worst)
-    return float(worst)
-
-
-def _numeric_gradients(fn, work, tape, loss, eps):
-    """(f(t + eps) - f(t - eps)) / (2 eps) per coordinate of each input of
-    ``work`` that requires grad, one array per input.
-
-    ``tape`` recorded ``loss = fn(*work)``.  Each f+- replays the nodes
-    downstream of the perturbed input against the recorded outputs of all
-    others: each node's kernel on the same arrays as a call of ``fn``, so
-    the same bits.  First, one call of ``fn`` at a seeded +-eps
-    perturbation of every input must match the replay bit for bit, or a
-    value that bypasses the tape, or a kernel that differs from its
-    primitive, would go unseen.
-    """
-    checked = [t for t in work if t.requires_grad]
-    saved = [t.data.copy() for t in checked]
-    signs = np.random.default_rng(0x67726164)
-    for t in checked:
-        t.data += eps * signs.choice((-1.0, 1.0), size=t.shape)
-    called = fn(*work).item()
-    replayed = _replay(_downstream(tape._nodes, checked), loss).item()
-    for t, data in zip(checked, saved):
-        np.copyto(t.data, data)
-    if called.hex() != replayed.hex():
-        raise ContractViolation(
-            f"grad_check: fn gives {called!r} where its recorded primitives give {replayed!r}; "
-            "fn must be deterministic and see its inputs only through tensor primitives")
-
-    numeric = []
-    for t in checked:
-        nodes = _downstream(tape._nodes, [t])
-        flat = t.data.reshape(-1)
-        diffs = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = _replay(nodes, loss).item()
-            flat[i] = orig - eps
-            f_minus = _replay(nodes, loss).item()
-            flat[i] = orig
-            diffs[i] = (f_plus - f_minus) / (2.0 * eps)
-        numeric.append(diffs.reshape(t.shape))
-    return numeric
-
-
-def _downstream(nodes, sources):
-    """The nodes whose output depends on a tensor of ``sources``, in tape order."""
-    reached = {id(t) for t in sources}
-    picked = []
-    for node in nodes:
-        if any(id(inp) in reached for inp in node.inputs):
-            reached.add(id(node.out))
-            picked.append(node)
-    return picked
-
-
-def _replay(nodes, loss):
-    """``loss.data`` recomputed by rerunning the kernels of ``nodes``, each
-    on the fresh outputs of earlier ones and the recorded outputs of all
-    other nodes."""
-    fresh = {}
-    for node in nodes:
-        fresh[id(node.out)] = node.forward(*[fresh.get(id(inp), inp.data) for inp in node.inputs])
-    return fresh.get(id(loss), loss.data)
+def __getattr__(name):
+    # grad_check moved to gradcheck.py, which imports this module
+    if name == "grad_check":
+        from .gradcheck import grad_check
+        return grad_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

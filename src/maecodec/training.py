@@ -1,4 +1,4 @@
-"""Multi-tradeoff rate-distortion training, Adam, datasets, checkpoints.
+"""Multi-tradeoff rate-distortion training, Adam, datasets, snapshots.
 
 One training thread owns the parameters.  All randomness is drawn from
 per-iteration generators keyed by (seed, phase, iteration), so runs are
@@ -8,10 +8,6 @@ bit-reproducible regardless of how batches are prepared.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import math
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,13 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+# Checkpoint and model_from_checkpoint live in checkpoint.py; both stay
+# importable from here
+from .checkpoint import Checkpoint, model_from_checkpoint  # noqa: F401
 from .entropy import add_uniform_noise, rate_bits
-from .exceptions import CheckpointError, ContractViolation, DatasetError
+from .exceptions import ContractViolation, DatasetError
 from .network import CodecConfig, CodecModel, TradeoffSet
-
-_CKPT_MAGIC = b"MAEC"
-_CKPT_VERSION = 1
-_CKPT_KEYS = ("channels", "mod_hidden", "mode", "lambdas", "iteration", "params")
 
 # training method -> network mode, where the two names differ: the
 # independent method trains a plain (single-tradeoff) autoencoder
@@ -278,118 +273,6 @@ def next_batch(images, crop_size, batch_size, rng):
 # checkpoints
 
 
-@dataclass
-class Checkpoint:
-    """Self-describing snapshot: architecture, mode, tradeoffs, parameters.
-
-    ``lambda_index`` records which tradeoff an independently trained
-    ("plain") model was optimized for; None otherwise.
-    """
-
-    config: CodecConfig
-    mode: str
-    lambdas: tuple
-    iteration: int
-    params: dict
-    lambda_index: int | None = None
-
-    def to_bytes(self):
-        names = sorted(self.params)
-        header = {
-            "version": _CKPT_VERSION,
-            "channels": self.config.channels,
-            "mod_hidden": self.config.mod_hidden,
-            "mode": self.mode,
-            "lambdas": list(self.lambdas),
-            "lambda_index": self.lambda_index,
-            "iteration": self.iteration,
-            "params": [[n, list(self.params[n].shape)] for n in names],
-        }
-        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        blob = bytearray()
-        blob += _CKPT_MAGIC
-        blob += struct.pack(">BI", _CKPT_VERSION, len(head))
-        blob += head
-        for name in names:
-            blob += np.ascontiguousarray(self.params[name], dtype="<f4").tobytes()
-        return bytes(blob)
-
-    @classmethod
-    def from_bytes(cls, data):
-        if data[:4] != _CKPT_MAGIC:
-            raise CheckpointError("not a checkpoint file (bad magic)")
-        if len(data) < 9:
-            raise CheckpointError("checkpoint shorter than its 9-byte preamble")
-        version, head_len = struct.unpack(">BI", data[4:9])
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        try:
-            header = json.loads(data[9 : 9 + head_len].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-        if not isinstance(header, dict) or not all(key in header for key in _CKPT_KEYS):
-            raise CheckpointError(
-                f"checkpoint header must be an object with keys {', '.join(_CKPT_KEYS)}")
-        offset = 9 + head_len
-        params = {}
-        try:
-            for name, shape in header["params"]:
-                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-                end = offset + 4 * count
-                if end > len(data):
-                    raise CheckpointError(f"checkpoint truncated inside block {name!r}")
-                params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
-                offset = end
-            lambda_index, iteration = header.get("lambda_index"), header["iteration"]
-            # checked, not converted: to_bytes writes the values back as read
-            lambdas = tuple(header["lambdas"])
-            if not all(type(v) in (int, float) and math.isfinite(v) for v in lambdas):
-                raise CheckpointError(
-                    f"malformed checkpoint header: lambdas must be finite numbers, "
-                    f"got {header['lambdas']!r}")
-            if type(iteration) is not int or iteration < 0:
-                raise CheckpointError(
-                    f"malformed checkpoint header: iteration must be an integer >= 0, "
-                    f"got {iteration!r}")
-            if lambda_index is not None and (
-                    type(lambda_index) is not int or not 0 <= lambda_index < len(lambdas)):
-                raise CheckpointError(
-                    f"malformed checkpoint header: lambda_index {lambda_index!r} is not an "
-                    f"index of the {len(lambdas)} tradeoffs")
-            if lambda_index is not None and header["mode"] != "plain":
-                raise CheckpointError(
-                    f"malformed checkpoint header: lambda_index set in mode "
-                    f"{header['mode']!r}; only an independent (plain) model records one")
-            ckpt = cls(
-                config=CodecConfig(channels=header["channels"], mod_hidden=header["mod_hidden"]),
-                mode=header["mode"],
-                lambdas=lambdas,
-                iteration=iteration,
-                params=params,
-                lambda_index=lambda_index,
-            )
-        except CheckpointError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            # fields of the wrong type, shape or range (ContractViolation included)
-            raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
-        if offset != len(data):
-            raise CheckpointError("checkpoint has trailing bytes")
-        return ckpt
-
-    def save(self, path):
-        Path(path).write_bytes(self.to_bytes())
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_bytes(Path(path).read_bytes())
-
-    @property
-    def model_hash(self):
-        """64-bit digest of the serialized bytes; guards bitstream decode."""
-        return int.from_bytes(hashlib.sha256(self.to_bytes()).digest()[:8], "big")
-
-
 def snapshot(model, iteration, lambda_index=None):
     return Checkpoint(
         config=model.config,
@@ -399,16 +282,6 @@ def snapshot(model, iteration, lambda_index=None):
         params={name: t.data.astype("<f4", copy=True) for name, t in model.parameters().items()},
         lambda_index=lambda_index,
     )
-
-
-def model_from_checkpoint(ckpt, dtype=np.float32):
-    """The model ``ckpt`` holds: its blocks are checked against the
-    architecture's parameter table before anything is allocated."""
-    try:
-        return CodecModel.from_arrays(ckpt.config, TradeoffSet(ckpt.lambdas), ckpt.mode,
-                                      ckpt.params, dtype)
-    except ContractViolation as exc:
-        raise CheckpointError(f"unusable checkpoint: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ JOBS = [("mae", None)] + [("independent", i) for i in range(TOP)] + [("bottlenec
 
 def _source_digest():
     import maecodec
+    from maecodec.checkpoint import FORMAT_VERSION
 
     root = Path(maecodec.__file__).parent
     h = hashlib.sha256()
@@ -69,7 +70,7 @@ def _source_digest():
         h.update((root / name).read_bytes())
     h.update(repr((LAMBDAS, CHANNELS, CROP, BATCH, TOTAL_ITERS, HALVE_AT,
                    PHASE2_ITERS, SNAPSHOT_ITERS, NUM_TRAIN_IMAGES,
-                   TRAIN_IMAGE_SIDE)).encode())
+                   TRAIN_IMAGE_SIDE, FORMAT_VERSION)).encode())
     return h.hexdigest()[:16]
 
 

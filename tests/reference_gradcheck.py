@@ -1,6 +1,6 @@
 """Central differences by full recompute.
 
-Independent reference for ``tensor._numeric_gradients``: every f+- is a
+Independent reference for ``gradcheck._numeric_gradients``: every f+- is a
 fresh call of the whole program, nothing is recorded or replayed.  This
 is the per-coordinate loop grad_check ran before it replayed its tape.
 """

@@ -11,12 +11,12 @@ import pytest
 
 import desk_protocol as desk
 from maecodec import tensor as T
+from maecodec.checkpoint import Checkpoint, model_from_checkpoint
 from maecodec.codec import LoadedCodec, compress_image, feature_ratio, mean_point
 from maecodec.entropy import TOTAL_FREQ, quantize, rate_bits
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet, param_count
 from maecodec.rangecoder import HEADER_SIZE, Bitstream
-from maecodec.training import (Checkpoint, TrainingConfig, model_from_checkpoint,
-                               rd_terms, snapshot, train)
+from maecodec.training import TrainingConfig, rd_terms, snapshot, train
 from test_rangecoder import random_table
 from test_training import full_loss_grad_error
 

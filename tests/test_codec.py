@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maecodec.checkpoint import Checkpoint
 from maecodec.codec import (MAX_PIXELS, LoadedCodec, compress, compress_image, decompress,
                             decompress_image, evaluate_image, feature_ratio,
                             operating_points, ratio_map_to_gray, rd_curve, rd_rows,
@@ -20,7 +21,7 @@ from maecodec.image_io import read_image, read_ppm, write_ppm
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.rangecoder import HEADER_SIZE, Bitstream
 from maecodec.synthetic import make_corpus, make_image
-from maecodec.training import Checkpoint, TrainingConfig, snapshot, train
+from maecodec.training import TrainingConfig, snapshot, train
 
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
 BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1] / "benchmarks" / "data"

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from maecodec import tensor as T
+from maecodec.checkpoint import Checkpoint, model_from_checkpoint
 from maecodec.entropy import (DEFAULT_SUPPORT, PROB_FLOOR, TOTAL_FREQ, CdfTable,
                               _grid_pmfs, _quantize_pmfs, add_uniform_noise,
                               bin_probabilities, build_cdf_tables, choose_support,
                               init_density, quantize, rate_bits)
 from maecodec.exceptions import ContractViolation, SupportRangeError
-from maecodec.training import Adam, Checkpoint, model_from_checkpoint
+from maecodec.training import Adam
 
 import reference_tables
 from reference_tables import BoxDensity

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from maecodec import tensor as T
+from maecodec.checkpoint import Checkpoint, model_from_checkpoint
 from maecodec.entropy import quantize, rate_bits
 from maecodec.exceptions import ContractViolation
 from maecodec.network import MODES, CodecConfig, CodecModel, TradeoffSet, param_count
-from maecodec.training import Checkpoint, model_from_checkpoint
 
 DESK = CodecConfig(channels=16, mod_hidden=20)
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))

@@ -9,15 +9,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maecodec import checkpoint, gradcheck, training
 from maecodec import tensor as T
+from maecodec.checkpoint import Checkpoint, model_from_checkpoint
 from maecodec.codec import method_name
 from maecodec.entropy import FactorizedDensity
 from maecodec.exceptions import CheckpointError, ContractViolation, DatasetError
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.synthetic import make_corpus
-from maecodec.training import (Adam, Checkpoint, TrainingConfig, load_training_config,
-                               model_from_checkpoint, next_batch, rd_terms,
-                               sample_tradeoff, snapshot, train)
+from maecodec.training import (Adam, TrainingConfig, load_training_config, next_batch,
+                               rd_terms, sample_tradeoff, snapshot, train)
 
 import reference_gradcheck
 
@@ -98,7 +99,7 @@ class TestReplayedDifferences:
         work = [T.Tensor(p.data.astype(np.float64), requires_grad=True) for p in params]
         with T.GradientTape() as tape:
             loss = fn(*work)
-        replayed = T._numeric_gradients(fn, work, tape, loss, 1e-4)
+        replayed = gradcheck._numeric_gradients(fn, work, tape, loss, 1e-4)
         full = reference_gradcheck.numeric_gradients(fn, work, 1e-4)
         assert len(replayed) == len(full) == len(params)
         for a, b in zip(replayed, full):
@@ -375,6 +376,12 @@ class TestTrainLoop:
 
 
 class TestCheckpoint:
+    def test_moved_names_stay_importable(self):
+        # callers look these up in training and tensor, where they lived
+        assert training.Checkpoint is checkpoint.Checkpoint
+        assert training.model_from_checkpoint is model_from_checkpoint
+        assert T.grad_check is gradcheck.grad_check
+
     def test_save_load_save_identical(self, tmp_path):
         model = tiny_model(seed=2)
         ckpt = snapshot(model, 17)
