@@ -22,6 +22,8 @@ from .network import CodecConfig, CodecModel, TradeoffSet
 _MAGIC = b"MAEC"
 FORMAT_VERSION = 1
 _KEYS = ("channels", "mod_hidden", "mode", "lambdas", "iteration", "params")
+# to_bytes writes these too; a header may hold no other key
+_KNOWN_KEYS = frozenset(_KEYS + ("version", "lambda_index"))
 
 
 @dataclass
@@ -76,6 +78,16 @@ class Checkpoint:
         if not isinstance(header, dict) or not all(key in header for key in _KEYS):
             raise CheckpointError(
                 f"checkpoint header must be an object with keys {', '.join(_KEYS)}")
+        # to_bytes would drop a foreign key and rewrite the version, so such
+        # a header would load with the model_hash of another file
+        unknown = sorted(header.keys() - _KNOWN_KEYS)
+        if unknown:
+            raise CheckpointError(
+                f"malformed checkpoint header: unknown keys {', '.join(map(repr, unknown))}")
+        if type(header.get("version")) is not int or header["version"] != version:
+            raise CheckpointError(
+                f"malformed checkpoint header: version {header.get('version')!r} differs from "
+                f"the preamble's {version}")
         offset = 9 + head_len
         params = {}
         try:

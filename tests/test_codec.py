@@ -161,6 +161,11 @@ class TestCodecBitsPinned:
         assert digest.hexdigest() == \
             "7e4a45668ff2120b536e77bcdbfac16f85fcd13a7742cc672724fe7a0a41a481"
 
+    def test_benchmark_checkpoint_hash_pinned(self):
+        # its header holds exactly the keys to_bytes writes, so the strict
+        # header check loads it, and to_bytes gives back its bytes
+        assert Checkpoint.load(BENCH_CHECKPOINT).model_hash == 0x24964ADF06656AAD
+
     def test_evaluate_image_msssim_bits_pinned(self):
         codec = LoadedCodec(Checkpoint.load(BENCH_CHECKPOINT))
         point = evaluate_image(codec, make_image(93, 176, 176), 1)
@@ -256,7 +261,9 @@ class TestMutatedCheckpoints:
         seconds = time.perf_counter() - start
         print(f"checkpoint mutation fuzz: {loaded} of 600 load, {errors} raise; "
               f"{seconds:.1f} s, traced peak {peak / 2 ** 20:.1f} MB")
-        assert (loaded, errors) == (76, 524)
+        # case 521 flips the header key "lambda_index" to "7ambda_index": an
+        # unknown key, rejected since the header is read strictly
+        assert (loaded, errors) == (75, 525)
         assert seconds < 20 and peak < 16 * 2 ** 20
 
 

@@ -462,6 +462,15 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="malformed"):
                 Checkpoint.from_bytes(self._patched(plain, 1, **fields))
 
+    def test_header_version_other_than_the_preamble_rejected(self):
+        for version in (7, 0, 1.0, True, "1", None):
+            with pytest.raises(CheckpointError, match="version .* differs from the preamble's 1"):
+                Checkpoint.from_bytes(self._patched(tiny_model(), None, version=version))
+
+    def test_header_unknown_key_rejected(self):
+        with pytest.raises(CheckpointError, match="unknown keys 'foo'"):
+            Checkpoint.from_bytes(self._patched(tiny_model(), None, foo=1))
+
     def test_negative_iteration_rejected(self):
         with pytest.raises(CheckpointError, match="iteration must be an integer >= 0, got -3"):
             Checkpoint.from_bytes(self._patched(tiny_model(), None, iteration=-3))
