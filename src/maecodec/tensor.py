@@ -3,7 +3,7 @@
 Every primitive the codec needs lives here: 2-d (transposed) convolution,
 dense affine maps, elementwise nonlinearities, per-channel batched matmuls
 for the entropy model and reductions.  The finite-difference gradient
-checker is in gradcheck.py; ``tensor.grad_check`` still finds it.
+checker is in gradcheck.py; ``tensor.grad_check`` resolves to it.
 
 add, sub, mul and div take two operands of the same shape, a scalar (a
 one-element operand), or an operand of the same ndim whose every extent is
@@ -14,7 +14,9 @@ rejected.
 
 Forward evaluation always works; gradients are recorded only while a
 GradientTape is active.  Tapes are single use: one forward pass, one
-backward pass.
+backward pass.  A gradient has its input's dtype: a float32 program runs
+its backward pass in float32, and the tape raises ContractViolation on a
+primitive whose gradient comes back in another dtype.
 """
 
 from __future__ import annotations
@@ -79,10 +81,12 @@ class Tensor:
 
 class _Node:
     # forward(*arrays) is the ndarray kernel that computed out.data from the
-    # inputs' data; it recomputes it from other values of them
-    __slots__ = ("out", "inputs", "backward", "forward")
+    # inputs' data; it recomputes it from other values of them.  name is the
+    # primitive that recorded the node
+    __slots__ = ("name", "out", "inputs", "backward", "forward")
 
-    def __init__(self, out, inputs, backward, forward):
+    def __init__(self, name, out, inputs, backward, forward):
+        self.name = name
         self.out = out
         self.inputs = inputs
         self.backward = backward
@@ -129,7 +133,9 @@ class GradientTape:
 
         Returns a dict keyed by Tensor identity.  Leaves not reachable from
         ``loss`` get exact zeros, as does any tensor in ``params`` that never
-        appeared on the tape.  Tensors the tape made get no entry.
+        appeared on the tape.  Tensors the tape made get no entry.  Raises
+        ContractViolation when a primitive returns a gradient whose dtype
+        differs from its input's.
         """
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractViolation("backward() needs a scalar loss tensor")
@@ -150,6 +156,12 @@ class GradientTape:
             for inp, gin in zip(node.inputs, node.backward(g)):
                 if gin is None or not inp.requires_grad:
                     continue
+                if gin.dtype != inp.data.dtype:
+                    # not cast: a cast would hide the promotion and keep
+                    # its cost, this primitive's work in the wider type
+                    raise ContractViolation(
+                        f"{node.name} returned a {gin.dtype} gradient for a "
+                        f"{inp.data.dtype} input")
                 have = flowing.get(id(inp))
                 flowing[id(inp)] = gin if have is None else have + gin
 
@@ -164,11 +176,11 @@ class GradientTape:
         return result
 
 
-def _record(out, inputs, backward, forward):
+def _record(name, out, inputs, backward, forward):
     stack = getattr(_tls, "stack", None)
     out.requires_grad = any(t.requires_grad for t in inputs)
     if stack and out.requires_grad:
-        stack[-1]._nodes.append(_Node(out, inputs, backward, forward))
+        stack[-1]._nodes.append(_Node(name, out, inputs, backward, forward))
     return out
 
 
@@ -398,7 +410,8 @@ def conv2d(x, kernel, stride=1, padding=0):
             gk = _kernel_grad(g.transpose(1, 0, 2, 3), cols, kernel.shape)
         return gx, gk
 
-    return _record(out, (x, kernel), backward, lambda a, k: _conv2d(a, k, stride, padding)[0])
+    return _record("conv2d", out, (x, kernel), backward,
+                   lambda a, k: _conv2d(a, k, stride, padding)[0])
 
 
 def _conv2d(x, kernel, stride, padding):
@@ -447,7 +460,7 @@ def conv2d_transpose(x, kernel, stride=1, padding=0):
             gk = _kernel_grad(x.data.transpose(1, 0, 2, 3), cols, kernel.shape)
         return gx, gk
 
-    return _record(out, (x, kernel), backward,
+    return _record("conv2d_transpose", out, (x, kernel), backward,
                    lambda a, k: _conv2d_transpose(a, k, stride, padding, extra))
 
 
@@ -494,7 +507,7 @@ def affine(x, weight, bias):
         gb = g.sum(axis=0) if bias.requires_grad else None
         return gx, gw, gb
 
-    return _record(out, (x, weight, bias), backward, _affine)
+    return _record("affine", out, (x, weight, bias), backward, _affine)
 
 
 def _affine(x, weight, bias):
@@ -515,7 +528,7 @@ def channel_matmul(weight, h):
         gh = np.matmul(weight.data.transpose(0, 2, 1), g) if h.requires_grad else None
         return gw, gh
 
-    return _record(out, (weight, h), backward, np.matmul)
+    return _record("channel_matmul", out, (weight, h), backward, np.matmul)
 
 
 def tanh_coupling(h, gate):
@@ -538,7 +551,7 @@ def tanh_coupling(h, gate):
             gg = (g * th).sum(axis=2, keepdims=True) * (1.0 - tg * tg)
         return gh, gg
 
-    return _record(out, (h, gate), backward, _tanh_coupling)
+    return _record("tanh_coupling", out, (h, gate), backward, _tanh_coupling)
 
 
 def _tanh_coupling(h, gate):
@@ -549,37 +562,38 @@ def _tanh_coupling(h, gate):
 # elementwise
 
 
-def _unary(x, fn, dfn):
+def _unary(name, x, fn, dfn):
     out = Tensor(fn(x.data))
 
     def backward(g):
         return (g * dfn(x.data, out.data) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward, fn)
+    return _record(name, out, (x,), backward, fn)
 
 
 def relu(x):
-    return _unary(x, lambda v: np.maximum(v, 0), lambda v, o: (v > 0).astype(v.dtype))
+    return _unary("relu", x, lambda v: np.maximum(v, 0), lambda v, o: (v > 0).astype(v.dtype))
 
 
 def exp(x):
-    return _unary(x, np.exp, lambda v, o: o)
+    return _unary("exp", x, np.exp, lambda v, o: o)
 
 
 def neg(x):
-    return _unary(x, np.negative, lambda v, o: np.float64(-1.0).astype(v.dtype))
+    return _unary("neg", x, np.negative, lambda v, o: np.float64(-1.0).astype(v.dtype))
 
 
 def square(x):
-    return _unary(x, np.square, lambda v, o: 2.0 * v)
+    return _unary("square", x, np.square, lambda v, o: 2.0 * v)
 
 
 def sigmoid(x):
-    return _unary(x, _expit, lambda v, o: o * (1.0 - o))
+    return _unary("sigmoid", x, _expit, lambda v, o: o * (1.0 - o))
 
 
 def softplus(x):
-    return _unary(x, lambda v: np.logaddexp(0.0, v).astype(v.dtype), lambda v, o: _expit(v))
+    return _unary("softplus", x, lambda v: np.logaddexp(0.0, v).astype(v.dtype),
+                  lambda v, o: _expit(v))
 
 
 def _domain_check(ok_mask, op_name, requirement):
@@ -591,7 +605,7 @@ def _domain_check(ok_mask, op_name, requirement):
 
 
 def sqrt(x):
-    return _unary(x, _sqrt, lambda v, o: 0.5 / o)
+    return _unary("sqrt", x, _sqrt, lambda v, o: 0.5 / o)
 
 
 def _sqrt(v):
@@ -600,8 +614,10 @@ def _sqrt(v):
 
 
 def log2(x):
-    inv_ln2 = 1.0 / np.log(2.0)
-    return _unary(x, _log2, lambda v, o: inv_ln2 / v)
+    # a Python float: NumPy 2 promotes a float32 array divided by a NumPy
+    # float64 scalar to float64
+    inv_ln2 = float(1.0 / np.log(2.0))
+    return _unary("log2", x, _log2, lambda v, o: inv_ln2 / v)
 
 
 def _log2(v):
@@ -648,7 +664,7 @@ def add(a, b):
         gb = _shrink_to(g, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, np.add)
+    return _record("add", out, (a, b), backward, np.add)
 
 
 def sub(a, b):
@@ -660,7 +676,7 @@ def sub(a, b):
         gb = _shrink_to(-g, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, np.subtract)
+    return _record("sub", out, (a, b), backward, np.subtract)
 
 
 def mul(a, b):
@@ -672,7 +688,7 @@ def mul(a, b):
         gb = _shrink_to(g * a.data, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, np.multiply)
+    return _record("mul", out, (a, b), backward, np.multiply)
 
 
 def div(a, b):
@@ -684,7 +700,7 @@ def div(a, b):
         gb = _shrink_to(-g * out.data / b.data, b) if b.requires_grad else None
         return ga, gb
 
-    return _record(out, (a, b), backward, _div)
+    return _record("div", out, (a, b), backward, _div)
 
 
 def _div(a, b):
@@ -697,7 +713,7 @@ def _div(a, b):
 
 
 def _reduce(x, mean):
-    fn = _mean if mean else _sum
+    name, fn = ("reduce_mean", _mean) if mean else ("reduce_sum", _sum)
     out = Tensor(fn(x.data))
 
     def backward(g):
@@ -708,7 +724,7 @@ def _reduce(x, mean):
             g_full = g_full / x.size
         return (np.ascontiguousarray(g_full),)
 
-    return _record(out, (x,), backward, fn)
+    return _record(name, out, (x,), backward, fn)
 
 
 # Reductions name every axis (axis=None could pair the terms differently)
@@ -746,7 +762,7 @@ def reshape(x, shape):
     def backward(g):
         return (g.reshape(x.shape) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward, forward)
+    return _record("reshape", out, (x,), backward, forward)
 
 
 def transpose(x, axes):
@@ -763,11 +779,12 @@ def transpose(x, axes):
     def backward(g):
         return (np.ascontiguousarray(g.transpose(inverse)) if x.requires_grad else None,)
 
-    return _record(out, (x,), backward, forward)
+    return _record("transpose", out, (x,), backward, forward)
 
 
 def __getattr__(name):
-    # grad_check moved to gradcheck.py, which imports this module
+    # gradcheck.py imports this module, so grad_check is looked up there
+    # on first use
     if name == "grad_check":
         from .gradcheck import grad_check
         return grad_check

@@ -60,7 +60,7 @@ def conv2d(x, kernel, stride=1, padding=0):
             gk = np.tensordot(g, gwin, axes=([0, 2, 3], [0, 2, 3]))
         return gx, gk
 
-    return _record(out, (x, kernel), backward, forward)
+    return _record("conv2d", out, (x, kernel), backward, forward)
 
 
 def _scatter_windows(contrib, canvas, stride):
@@ -148,4 +148,4 @@ def conv2d_transpose(x, kernel, stride=1, padding=0, output_padding=None):
             gk = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
         return gx, gk
 
-    return _record(out, (x, kernel), backward, forward)
+    return _record("conv2d_transpose", out, (x, kernel), backward, forward)

@@ -613,6 +613,26 @@ class TestGradCheck:
             assert T.grad_check(fn, inputs) < 1e-4
 
 
+class TestGradientDtype:
+    def test_float32_programs_keep_float32_gradients(self):
+        for fn, inputs in primitive_programs(0):
+            work = [T.Tensor(t.data.astype(np.float32), requires_grad=True) for t in inputs]
+            with T.GradientTape() as tape:
+                loss = fn(*work)
+            grads = tape.backward(loss)
+            assert [grads[t].dtype for t in work] == [np.float32] * len(work)
+
+    def test_leaked_dtype_raises(self):
+        # a float64 constant promotes the product, and so x's gradient
+        x = T.Tensor(np.ones(3, np.float32), requires_grad=True)
+        c = T.Tensor(np.full(3, 2.0))
+        with T.GradientTape() as tape:
+            loss = T.reduce_sum(T.mul(x, c))
+        with pytest.raises(ContractViolation,
+                           match="mul returned a float64 gradient for a float32 input"):
+            tape.backward(loss)
+
+
 class TestRecordedForwards:
     """Each tape node records the ndarray kernel that made its output, and
     grad_check replays nodes by calling it.  On the node's own input
@@ -638,6 +658,7 @@ class TestRecordedForwards:
                 fn(*inputs)
             for node in tape._nodes:
                 name = made_by[id(node.out)]
+                assert node.name == name
                 got = node.forward(*[t.data for t in node.inputs])
                 want = node.out.data
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), name

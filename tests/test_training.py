@@ -17,8 +17,8 @@ from maecodec.entropy import FactorizedDensity
 from maecodec.exceptions import CheckpointError, ContractViolation, DatasetError
 from maecodec.network import CodecConfig, CodecModel, TradeoffSet
 from maecodec.synthetic import make_corpus
-from maecodec.training import (Adam, TrainingConfig, load_training_config, next_batch,
-                               rd_terms, sample_tradeoff, snapshot, train)
+from maecodec.training import (NETWORK_MODES, Adam, TrainingConfig, load_training_config,
+                               next_batch, rd_terms, sample_tradeoff, snapshot, train)
 
 import reference_gradcheck
 
@@ -281,7 +281,7 @@ class TestTrainLoop:
             for _, ckpt in train(cfg, images):
                 digest.update(ckpt.to_bytes())
         assert digest.hexdigest() == \
-            "e22ae9311e5c60b420d3789e6a0d31cecfac39bf5b9e2a4cc895e0465588af39"
+            "9b28f4a02b7047c0f317478505a8b87a045bb6fda7291494440100f9fe9fefd5"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bottleneck_holds_the_independent_top_model(self, seed):
@@ -373,6 +373,22 @@ class TestTrainLoop:
         assert lines[0] == "iteration,lambda,rate_bpp,mse,loss,lr"
         # 3 top-tradeoff rows, then 2 joint rows per non-top tradeoff
         assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(1, 8)]
+
+
+class TestGradientDtype:
+    @pytest.mark.parametrize("mode", ["mae", "bottleneck", "independent"])
+    def test_desk_step_keeps_float32_gradients(self, mode):
+        # one float32 step of the desk shape (32 channels, two 96^2 crops):
+        # a gradient promoted to float64 anywhere would run the rest of the
+        # backward pass, and Adam, in float64
+        model = CodecModel(CodecConfig(channels=32, mod_hidden=50), TR3,
+                           NETWORK_MODES.get(mode, mode), seed=0)
+        batch = next_batch(make_corpus(2, 96, 96), 96, 2, np.random.default_rng(0))
+        named = model.parameters()
+        with T.GradientTape() as tape:
+            loss = rd_terms(batch, 64.0, model, noise_rng=np.random.default_rng(1))[0]
+        grads = tape.backward(loss, params=list(named.values()))
+        assert [n for n, p in named.items() if grads[p].dtype != p.dtype] == []
 
 
 class TestCheckpoint:
