@@ -21,9 +21,9 @@ from .network import CodecConfig, CodecModel, TradeoffSet
 
 _MAGIC = b"MAEC"
 FORMAT_VERSION = 1
-_KEYS = ("channels", "mod_hidden", "mode", "lambdas", "iteration", "params")
-# to_bytes writes these too; a header may hold no other key
-_KNOWN_KEYS = frozenset(_KEYS + ("version", "lambda_index"))
+# the keys to_bytes writes; a header holds these and no other
+_KEYS = ("version", "channels", "mod_hidden", "mode", "lambdas", "lambda_index", "iteration",
+         "params")
 
 
 @dataclass
@@ -53,7 +53,7 @@ class Checkpoint:
             "iteration": self.iteration,
             "params": [[n, list(self.params[n].shape)] for n in names],
         }
-        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        head = _canonical(header)
         blob = bytearray()
         blob += _MAGIC
         blob += struct.pack(">BI", FORMAT_VERSION, len(head))
@@ -71,8 +71,9 @@ class Checkpoint:
         version, head_len = struct.unpack(">BI", data[4:9])
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        head = data[9 : 9 + head_len]
         try:
-            header = json.loads(data[9 : 9 + head_len].decode())
+            header = json.loads(head.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
         if not isinstance(header, dict) or not all(key in header for key in _KEYS):
@@ -80,13 +81,13 @@ class Checkpoint:
                 f"checkpoint header must be an object with keys {', '.join(_KEYS)}")
         # to_bytes would drop a foreign key and rewrite the version, so such
         # a header would load with the model_hash of another file
-        unknown = sorted(header.keys() - _KNOWN_KEYS)
+        unknown = sorted(header.keys() - set(_KEYS))
         if unknown:
             raise CheckpointError(
                 f"malformed checkpoint header: unknown keys {', '.join(map(repr, unknown))}")
-        if type(header.get("version")) is not int or header["version"] != version:
+        if type(header["version"]) is not int or header["version"] != version:
             raise CheckpointError(
-                f"malformed checkpoint header: version {header.get('version')!r} differs from "
+                f"malformed checkpoint header: version {header['version']!r} differs from "
                 f"the preamble's {version}")
         offset = 9 + head_len
         params = {}
@@ -98,7 +99,12 @@ class Checkpoint:
                     raise CheckpointError(f"checkpoint truncated inside block {name!r}")
                 params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
                 offset = end
-            lambda_index, iteration = header.get("lambda_index"), header["iteration"]
+            names = [name for name, _ in header["params"]]
+            if names != sorted(set(names)):
+                # to_bytes writes each block once, in sorted name order
+                raise CheckpointError(
+                    "malformed checkpoint header: blocks not in sorted name order, or repeated")
+            lambda_index, iteration = header["lambda_index"], header["iteration"]
             # checked, not converted: to_bytes writes the values back as read
             lambdas = tuple(header["lambdas"])
             if not all(type(v) in (int, float) and math.isfinite(v) for v in lambdas):
@@ -131,6 +137,12 @@ class Checkpoint:
         except (TypeError, ValueError, OverflowError) as exc:
             # fields of the wrong type, shape or range (ContractViolation included)
             raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
+        # to_bytes writes the header in this one spelling; any other would
+        # load with the model_hash of another file
+        if head != _canonical(header):
+            raise CheckpointError(
+                "malformed checkpoint header: not the sorted, space-free JSON that a "
+                "checkpoint is written with")
         if offset != len(data):
             raise CheckpointError("checkpoint has trailing bytes")
         return ckpt
@@ -146,6 +158,10 @@ class Checkpoint:
     def model_hash(self):
         """64-bit digest of the serialized bytes; guards bitstream decode."""
         return int.from_bytes(hashlib.sha256(self.to_bytes()).digest()[:8], "big")
+
+
+def _canonical(header):
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
 def model_from_checkpoint(ckpt, dtype=np.float32):

@@ -2,7 +2,8 @@
 
 The program is recorded once; each central difference then replays only
 the tape nodes downstream of the perturbed coordinate, by calling each
-node's recorded ndarray kernel.
+node's recorded ndarray kernel.  The wiring of a replay is resolved once
+per checked input, not once per difference.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _numeric_gradients(fn, work, tape, loss, eps):
     for t in checked:
         t.data += eps * signs.choice((-1.0, 1.0), size=t.shape)
     called = fn(*work).item()
-    replayed = _replay(_downstream(tape._nodes, checked), loss).item()
+    replayed = _compile(_downstream(tape._nodes, checked), loss)().item()
     for t, data in zip(checked, saved):
         np.copyto(t.data, data)
     if called.hex() != replayed.hex():
@@ -72,15 +73,15 @@ def _numeric_gradients(fn, work, tape, loss, eps):
 
     numeric = []
     for t in checked:
-        nodes = _downstream(tape._nodes, [t])
+        replay = _compile(_downstream(tape._nodes, [t]), loss)
         flat = t.data.reshape(-1)
         diffs = np.empty(flat.size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = _replay(nodes, loss).item()
+            f_plus = replay().item()
             flat[i] = orig - eps
-            f_minus = _replay(nodes, loss).item()
+            f_minus = replay().item()
             flat[i] = orig
             diffs[i] = (f_plus - f_minus) / (2.0 * eps)
         numeric.append(diffs.reshape(t.shape))
@@ -98,11 +99,34 @@ def _downstream(nodes, sources):
     return picked
 
 
-def _replay(nodes, loss):
-    """``loss.data`` recomputed by rerunning the kernels of ``nodes``, each
-    on the fresh outputs of earlier ones and the recorded outputs of all
-    other nodes."""
-    fresh = {}
+def _compile(nodes, loss):
+    """A function that returns ``loss.data`` recomputed by rerunning the
+    kernels of ``nodes``, each on the fresh outputs of earlier ones and the
+    recorded outputs of all other nodes.
+
+    Each node keeps one argument list, filled once with the recorded
+    arrays; a replayed node writes its output into the slots of the
+    argument lists it feeds.  The perturbed inputs' arrays are changed in
+    place, so the lists see them.
+    """
+    steps = []
+    feeds = {}  # id of a node's output -> the (argument list, slot) pairs it fills
     for node in nodes:
-        fresh[id(node.out)] = node.forward(*[fresh.get(id(inp), inp.data) for inp in node.inputs])
-    return fresh.get(id(loss), loss.data)
+        args = [inp.data for inp in node.inputs]
+        for slot, inp in enumerate(node.inputs):
+            if id(inp) in feeds:
+                feeds[id(inp)].append((args, slot))
+        feeds[id(node.out)] = []
+        steps.append((node.forward, args, feeds[id(node.out)]))
+    result = [loss.data]
+    if id(loss) in feeds:
+        feeds[id(loss)].append((result, 0))
+
+    def replay():
+        for forward, args, sinks in steps:
+            out = forward(*args)
+            for dest, slot in sinks:
+                dest[slot] = out
+        return result[0]
+
+    return replay

@@ -3,8 +3,8 @@
 MS-SSIM uses five dyadic scales with the standard literature weights, an
 11x11 Gaussian window with sigma 1.5, and is computed on Rec.601 luma.
 Both metrics report dB capped at 99 (identical inputs would otherwise be
-infinite).  scipy.signal, which MS-SSIM alone needs, is imported on its
-first call, so the codec and training paths never load it.
+infinite).  The window is the outer product of a 1-D Gaussian, so it is
+applied as two 1-D passes in numpy.
 """
 
 from __future__ import annotations
@@ -43,28 +43,33 @@ def _luma(img):
     raise ContractViolation(f"expected (H, W) or (H, W, 3) image, got {img.shape}")
 
 
-def _gaussian_window():
+def _gaussian():
     half = (_WINDOW_SIZE - 1) / 2.0
     coords = np.arange(_WINDOW_SIZE) - half
     g = np.exp(-(coords ** 2) / (2.0 * _WINDOW_SIGMA ** 2))
-    g /= g.sum()
-    return np.outer(g, g)
+    return g / g.sum()
 
 
-_WINDOW = _gaussian_window()
+# the 11x11 window is np.outer(_GAUSS, _GAUSS)
+_GAUSS = _gaussian()
+
+
+def _filtered(maps):
+    """The valid part of each (H, W) map of ``maps`` filtered by the window:
+    one pass of _GAUSS down the rows, one across the columns."""
+    h, w = maps.shape[-2:]
+    rows = sum(g * maps[..., k:h - _WINDOW_SIZE + 1 + k, :] for k, g in enumerate(_GAUSS))
+    return sum(g * rows[..., k:w - _WINDOW_SIZE + 1 + k] for k, g in enumerate(_GAUSS))
 
 
 def _ssim_pair(x, y):
     """Mean luminance and contrast-structure terms over valid windows."""
-    from scipy.signal import fftconvolve
-
     c1 = _K1 ** 2
     c2 = _K2 ** 2
-    mu_x = fftconvolve(x, _WINDOW, mode="valid")
-    mu_y = fftconvolve(y, _WINDOW, mode="valid")
-    xx = fftconvolve(x * x, _WINDOW, mode="valid") - mu_x * mu_x
-    yy = fftconvolve(y * y, _WINDOW, mode="valid") - mu_y * mu_y
-    xy = fftconvolve(x * y, _WINDOW, mode="valid") - mu_x * mu_y
+    mu_x, mu_y, sxx, syy, sxy = _filtered(np.stack((x, y, x * x, y * y, x * y)))
+    xx = sxx - mu_x * mu_x
+    yy = syy - mu_y * mu_y
+    xy = sxy - mu_x * mu_y
     lum = (2 * mu_x * mu_y + c1) / (mu_x ** 2 + mu_y ** 2 + c1)
     cs = (2 * xy + c2) / (xx + yy + c2)
     return float(lum.mean()), float(cs.mean())

@@ -27,7 +27,6 @@ import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import expit as _expit
 
 from .exceptions import ContractViolation, NumericDomainError
 
@@ -587,13 +586,19 @@ def square(x):
     return _unary("square", x, np.square, lambda v, o: 2.0 * v)
 
 
+def _sigmoid(v):
+    # exp sees only -|v|, so nothing overflows, and the tails keep their
+    # relative precision: 1/(1+e) for v >= 0, e/(1+e) below
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x):
-    return _unary("sigmoid", x, _expit, lambda v, o: o * (1.0 - o))
+    return _unary("sigmoid", x, _sigmoid, lambda v, o: o * (1.0 - o))
 
 
 def softplus(x):
-    return _unary("softplus", x, lambda v: np.logaddexp(0.0, v).astype(v.dtype),
-                  lambda v, o: _expit(v))
+    return _unary("softplus", x, lambda v: np.logaddexp(0.0, v), lambda v, o: _sigmoid(v))
 
 
 def _domain_check(ok_mask, op_name, requirement):

@@ -2,6 +2,7 @@
 adjointness, and analytic gradients against central finite differences."""
 
 import inspect
+import math
 import zlib
 
 import numpy as np
@@ -383,6 +384,56 @@ class TestElementwise:
                 out = op(a, b)
                 assert out.shape == (2, 3, 2, 2)
                 assert out.data.tobytes() == ref(a.data, b.data).tobytes()
+
+    # x over +-1e4, densely where the float32 and float64 tails underflow
+    SIGMOID_GRID = np.unique(np.concatenate((np.linspace(-1e4, 1e4, 20001),
+                                             np.linspace(-800.0, 800.0, 16001),
+                                             np.linspace(-5.0, 5.0, 1001))))
+
+    @staticmethod
+    def _sigmoid_reference(x):
+        return np.array([1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v))
+                         for v in x.astype(np.float64).tolist()])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_and_softplus_stay_finite_and_keep_their_dtype(self, dtype):
+        x = self.SIGMOID_GRID.astype(dtype)
+        # underflow of a far tail to a subnormal or 0 is the right answer;
+        # no overflow, division by zero or invalid value may happen
+        with np.errstate(all="raise", under="ignore"):
+            s = T.sigmoid(T.Tensor(x)).data
+            sp = T.softplus(T.Tensor(x)).data
+        assert s.dtype == sp.dtype == dtype
+        assert s.min() >= 0.0 and s.max() <= 1.0
+        assert np.all(np.diff(s) >= 0)
+        assert np.all(np.isfinite(sp)) and sp.min() >= 0.0 and np.all(np.diff(sp) >= 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_relative_error_within_a_few_eps_tails_included(self, dtype):
+        # the density's tails feed choose_support's 1e-6 mass check, so the
+        # tails must keep their relative precision, not only the centre
+        x = self.SIGMOID_GRID.astype(dtype)
+        ref = self._sigmoid_reference(x)
+        with np.errstate(under="ignore"):
+            got = T.sigmoid(T.Tensor(x)).data.astype(np.float64)
+        info = np.finfo(dtype)
+        normal = ref >= info.tiny
+        assert not normal.all() and normal.sum() > 10000
+        rel = np.abs(got[normal] - ref[normal]) / ref[normal]
+        assert rel.max() <= 4 * info.eps
+        # below the normal range only the subnormal spacing is left
+        assert np.abs(got[~normal] - ref[~normal]).max() <= 2 * info.smallest_subnormal
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_gradient_is_the_sigmoid(self, dtype):
+        x = T.Tensor(self.SIGMOID_GRID.astype(dtype), requires_grad=True)
+        with np.errstate(under="ignore"):
+            with T.GradientTape() as tape:
+                loss = T.reduce_sum(T.softplus(x))
+            grad = tape.backward(loss)[x]
+            s = T.sigmoid(x).data
+        assert grad.dtype == dtype
+        assert grad.tobytes() == s.tobytes()
 
     def test_domain_errors_identify_element(self):
         with pytest.raises(NumericDomainError, match=r"\(1,\)"):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestTrainLoop:
             for _, ckpt in train(cfg, images):
                 digest.update(ckpt.to_bytes())
         assert digest.hexdigest() == \
-            "9b28f4a02b7047c0f317478505a8b87a045bb6fda7291494440100f9fe9fefd5"
+            "3e5dc3e980b323e5325bc05af6819eb233f4fb6e3e8617b96df7dc027f017f46"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bottleneck_holds_the_independent_top_model(self, seed):
@@ -439,7 +440,7 @@ class TestCheckpoint:
         head_len = struct.unpack(">I", data[5:9])[0]
         header = json.loads(data[9 : 9 + head_len])
         del header["mode"]
-        head = json.dumps(header).encode()
+        head = checkpoint._canonical(header)
         with pytest.raises(CheckpointError, match="keys"):
             Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
                                   + data[9 + head_len:])
@@ -459,7 +460,7 @@ class TestCheckpoint:
                              ("lambda_index", 7), ("lambda_index", -1)):
             header = json.loads(data[9 : 9 + head_len])
             header[field] = value
-            head = json.dumps(header).encode()
+            head = checkpoint._canonical(header)
             with pytest.raises(CheckpointError, match="malformed"):
                 Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
                                       + data[9 + head_len:])
@@ -468,7 +469,7 @@ class TestCheckpoint:
     def _patched(model, index, **fields):
         data = snapshot(model, 2, lambda_index=index).to_bytes()
         head_len = struct.unpack(">I", data[5:9])[0]
-        head = json.dumps(dict(json.loads(data[9 : 9 + head_len]), **fields)).encode()
+        head = checkpoint._canonical(dict(json.loads(data[9 : 9 + head_len]), **fields))
         return data[:5] + struct.pack(">I", len(head)) + head + data[9 + head_len:]
 
     def test_non_integer_index_and_iteration_rejected(self):
@@ -486,6 +487,48 @@ class TestCheckpoint:
     def test_header_unknown_key_rejected(self):
         with pytest.raises(CheckpointError, match="unknown keys 'foo'"):
             Checkpoint.from_bytes(self._patched(tiny_model(), None, foo=1))
+
+    def test_header_that_to_bytes_does_not_write_rejected(self):
+        # each of these used to load as the clean model, whose model_hash is
+        # then not the hash of the file that was read
+        ckpt = snapshot(tiny_model(), 0)
+        data = ckpt.to_bytes()
+        head_len = struct.unpack(">I", data[5:9])[0]
+        header = json.loads(data[9 : 9 + head_len])
+        names = sorted(ckpt.params)
+
+        def file(head, order=names):
+            blocks = b"".join(ckpt.params[n].astype("<f4").tobytes() for n in order)
+            return data[:5] + struct.pack(">I", len(head)) + head + blocks
+
+        def listing(order):
+            return dict(header, params=[[n, list(ckpt.params[n].shape)] for n in order])
+
+        no_index = {k: v for k, v in header.items() if k != "lambda_index"}
+        reordered = [names[1], names[0]] + names[2:]
+        for raw, message in (
+                (file(checkpoint._canonical(no_index)), "keys"),
+                (file(json.dumps(header).encode()), "space-free JSON"),
+                (file(json.dumps(header, sort_keys=True, indent=1).encode()), "space-free JSON"),
+                (file(json.dumps(dict(reversed(header.items())), separators=(",", ":")).encode()),
+                 "sorted, space-free JSON"),
+                (file(checkpoint._canonical(listing(reordered)), reordered), "sorted name order"),
+                (file(checkpoint._canonical(listing(names[:1] + names)), names[:1] + names),
+                 "repeated")):
+            assert raw != data
+            with pytest.raises(CheckpointError, match=message):
+                Checkpoint.from_bytes(raw)
+        assert file(checkpoint._canonical(header)) == data
+        assert Checkpoint.from_bytes(file(checkpoint._canonical(header))).to_bytes() == data
+
+    def test_committed_checkpoints_load_with_the_hash_of_their_bytes(self):
+        root = Path(__file__).resolve().parent.parent
+        paths = sorted(root.glob("tests/_artifacts/*/*.ckpt"))
+        paths.append(root / "benchmarks" / "data" / "desk_mae32_seed0.ckpt")
+        for path in paths:
+            data = path.read_bytes()
+            expected = int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+            assert Checkpoint.from_bytes(data).model_hash == expected, path.name
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(CheckpointError, match="iteration must be an integer >= 0, got -3"):
@@ -516,7 +559,7 @@ class TestCheckpoint:
         head_len = struct.unpack(">I", data[5:9])[0]
         header = json.loads(data[9 : 9 + head_len])
         header["channels"] = 10 ** 6
-        head = json.dumps(header).encode()
+        head = checkpoint._canonical(header)
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="do not match the architecture"):
