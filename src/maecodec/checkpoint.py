@@ -3,6 +3,9 @@
 A checkpoint is a 9-byte preamble (magic, format version, header length),
 a JSON header (architecture, mode, tradeoffs, iteration, block shapes) and
 the parameter blocks as little-endian float32 in sorted name order.
+``Checkpoint._layout`` is that layout: the file is its parts joined, the
+model hash is their digest, and a file loads only if it is what the
+layout writes back for the values it holds.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .network import CodecConfig, CodecModel, TradeoffSet
 
 _MAGIC = b"MAEC"
 FORMAT_VERSION = 1
-# the keys to_bytes writes; a header holds these and no other
+# the keys _layout writes
 _KEYS = ("version", "channels", "mod_hidden", "mode", "lambdas", "lambda_index", "iteration",
          "params")
 
@@ -41,9 +44,12 @@ class Checkpoint:
     params: dict
     lambda_index: int | None = None
 
-    def to_bytes(self):
+    def _layout(self):
+        """Yield the file as its parts, in order: the preamble and header,
+        then each block as a C-contiguous ``<f4`` array, in sorted name
+        order."""
         names = sorted(self.params)
-        header = {
+        head = _canonical({
             "version": FORMAT_VERSION,
             "channels": self.config.channels,
             "mod_hidden": self.config.mod_hidden,
@@ -52,15 +58,13 @@ class Checkpoint:
             "lambda_index": self.lambda_index,
             "iteration": self.iteration,
             "params": [[n, list(self.params[n].shape)] for n in names],
-        }
-        head = _canonical(header)
-        blob = bytearray()
-        blob += _MAGIC
-        blob += struct.pack(">BI", FORMAT_VERSION, len(head))
-        blob += head
+        })
+        yield _MAGIC + struct.pack(">BI", FORMAT_VERSION, len(head)) + head
         for name in names:
-            blob += np.ascontiguousarray(self.params[name], dtype="<f4").tobytes()
-        return bytes(blob)
+            yield np.ascontiguousarray(self.params[name], dtype="<f4")
+
+    def to_bytes(self):
+        return b"".join(self._layout())
 
     @classmethod
     def from_bytes(cls, data):
@@ -71,24 +75,13 @@ class Checkpoint:
         version, head_len = struct.unpack(">BI", data[4:9])
         if version != FORMAT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        head = data[9 : 9 + head_len]
         try:
-            header = json.loads(head.decode())
+            header = json.loads(data[9 : 9 + head_len].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
         if not isinstance(header, dict) or not all(key in header for key in _KEYS):
             raise CheckpointError(
                 f"checkpoint header must be an object with keys {', '.join(_KEYS)}")
-        # to_bytes would drop a foreign key and rewrite the version, so such
-        # a header would load with the model_hash of another file
-        unknown = sorted(header.keys() - set(_KEYS))
-        if unknown:
-            raise CheckpointError(
-                f"malformed checkpoint header: unknown keys {', '.join(map(repr, unknown))}")
-        if type(header["version"]) is not int or header["version"] != version:
-            raise CheckpointError(
-                f"malformed checkpoint header: version {header['version']!r} differs from "
-                f"the preamble's {version}")
         offset = 9 + head_len
         params = {}
         try:
@@ -99,13 +92,8 @@ class Checkpoint:
                     raise CheckpointError(f"checkpoint truncated inside block {name!r}")
                 params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
                 offset = end
-            names = [name for name, _ in header["params"]]
-            if names != sorted(set(names)):
-                # to_bytes writes each block once, in sorted name order
-                raise CheckpointError(
-                    "malformed checkpoint header: blocks not in sorted name order, or repeated")
             lambda_index, iteration = header["lambda_index"], header["iteration"]
-            # checked, not converted: to_bytes writes the values back as read
+            # checked, not converted: _layout writes the values back as read
             lambdas = tuple(header["lambdas"])
             if not all(type(v) in (int, float) and math.isfinite(v) for v in lambdas):
                 raise CheckpointError(
@@ -132,19 +120,19 @@ class Checkpoint:
                 params=params,
                 lambda_index=lambda_index,
             )
+            written = next(ckpt._layout())
         except CheckpointError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             # fields of the wrong type, shape or range (ContractViolation included)
             raise CheckpointError(f"malformed checkpoint header: {exc}") from exc
-        # to_bytes writes the header in this one spelling; any other would
-        # load with the model_hash of another file
-        if head != _canonical(header):
+        # a file that _layout does not write back would load with the model_hash
+        # of another file
+        if data[:9 + head_len] != written or offset != len(data):
             raise CheckpointError(
-                "malformed checkpoint header: not the sorted, space-free JSON that a "
-                "checkpoint is written with")
-        if offset != len(data):
-            raise CheckpointError("checkpoint has trailing bytes")
+                "malformed checkpoint: not written as a checkpoint is (every header key once, "
+                "the preamble's version, blocks once each in sorted name order, sorted "
+                "space-free JSON, nothing after the last block)")
         return ckpt
 
     def save(self, path):
@@ -156,8 +144,11 @@ class Checkpoint:
 
     @property
     def model_hash(self):
-        """64-bit digest of the serialized bytes; guards bitstream decode."""
-        return int.from_bytes(hashlib.sha256(self.to_bytes()).digest()[:8], "big")
+        """64-bit digest of the file's bytes; guards bitstream decode."""
+        digest = hashlib.sha256()
+        for part in self._layout():
+            digest.update(part)
+        return int.from_bytes(digest.digest()[:8], "big")
 
 
 def _canonical(header):

@@ -113,6 +113,9 @@ def _checked_bitstream(codec, data):
         raise BitstreamError(
             f"lambda index {bits.lambda_index} is not a tradeoff this checkpoint serves "
             f"(it serves {served})")
+    if bits.height == 0 or bits.width == 0:
+        raise BitstreamError(
+            f"{bits.height}x{bits.width} image: image sides must be positive")
     if bits.height * bits.width > MAX_PIXELS:
         raise BitstreamError(
             f"{bits.height}x{bits.width} image exceeds the codec's budget of "

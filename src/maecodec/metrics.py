@@ -86,14 +86,19 @@ def ms_ssim(x, x_hat):
 
     Uses 5 scales when the smaller side is at least 176 px; otherwise the
     scale count is reduced (with a warning) and the weights renormalized.
+    A side shorter than the 11 px window is a ContractViolation.
     """
     a = _luma(x)
     b = _luma(x_hat)
     if a.shape != b.shape:
         raise ContractViolation(f"ms_ssim shape mismatch: {a.shape} vs {b.shape}")
+    min_side = min(a.shape)
+    if min_side < _WINDOW_SIZE:
+        raise ContractViolation(
+            f"ms_ssim needs both image sides of at least {_WINDOW_SIZE} px (the window), "
+            f"got {a.shape[0]}x{a.shape[1]}")
 
     scales = len(MSSSIM_WEIGHTS)
-    min_side = min(a.shape)
     while scales > 1 and min_side // (2 ** (scales - 1)) < _WINDOW_SIZE:
         scales -= 1
     if scales < len(MSSSIM_WEIGHTS):

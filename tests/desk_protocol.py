@@ -16,18 +16,21 @@ that phase unchanged, so the bottleneck job also writes the independent
 top-tradeoff model (``independent_top``).
 
 Training output is cached under tests/_artifacts keyed by a digest of the
-source modules that influence the numbers, so editing the codec code
-invalidates the cache automatically.  Jobs run in single-threaded worker
-processes (two in parallel; at these tensor sizes BLAS threading is a
-slowdown, process parallelism is not).
+code tokens (comments and blank lines dropped) of the source modules that
+influence the numbers, so editing the codec code invalidates the cache
+automatically and editing a comment does not.  Jobs run in
+single-threaded worker processes (two in parallel; at these tensor sizes
+BLAS threading is a slowdown, process parallelism is not).
 """
 
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -59,6 +62,12 @@ TOP = len(LAMBDAS) - 1
 JOBS = [("mae", None)] + [("independent", i) for i in range(TOP)] + [("bottleneck", None)]
 
 
+def _code_tokens(source):
+    """The tokens of Python ``source`` without its comments and blank lines."""
+    return [(tok.type, tok.string) for tok in tokenize.tokenize(io.BytesIO(source).readline)
+            if tok.type not in (tokenize.COMMENT, tokenize.NL)]
+
+
 def _source_digest():
     import maecodec
     from maecodec.checkpoint import FORMAT_VERSION
@@ -67,7 +76,7 @@ def _source_digest():
     h = hashlib.sha256()
     for name in ("tensor.py", "gdn.py", "entropy.py", "network.py", "training.py",
                  "synthetic.py"):
-        h.update((root / name).read_bytes())
+        h.update(repr(_code_tokens((root / name).read_bytes())).encode())
     h.update(repr((LAMBDAS, CHANNELS, CROP, BATCH, TOTAL_ITERS, HALVE_AT,
                    PHASE2_ITERS, SNAPSHOT_ITERS, NUM_TRAIN_IMAGES,
                    TRAIN_IMAGE_SIDE, FORMAT_VERSION)).encode())

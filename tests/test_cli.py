@@ -121,6 +121,18 @@ def test_evaluate_prints_the_rows_it_writes(workspace, capsys):
     assert len(printed) == 4  # header and one row per tradeoff of the mae checkpoint
 
 
+def test_evaluate_image_below_the_msssim_window_is_an_error(workspace, capsys):
+    images = workspace / "tiny_imgs"
+    images.mkdir()
+    write_ppm(images / "tiny.ppm", make_corpus(1, 8, 9)[0])
+    assert main(["evaluate", "--checkpoint", str(workspace / "model.ckpt"),
+                 "--images", str(images)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ms_ssim needs both image sides of at least 11 px")
+    assert "\n" not in captured.err.strip()
+
+
 def test_evaluate_plain_checkpoint_serves_its_recorded_tradeoff(workspace, capsys):
     model = CodecModel(CodecConfig(channels=16, mod_hidden=10),
                        TradeoffSet((64.0, 512.0, 4096.0)), "plain", seed=1)
@@ -222,6 +234,27 @@ def test_stream_at_a_tradeoff_the_checkpoint_does_not_serve(workspace, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: lambda index 0 is not a tradeoff")
+        assert "\n" not in captured.err.strip()
+
+
+def test_stream_with_a_zero_side_is_an_error(workspace, capsys):
+    from maecodec.rangecoder import Bitstream
+
+    ckpt = str(workspace / "model.ckpt")
+    mae, patched = workspace / "zero.mae", workspace / "zero0.mae"
+    assert main(["compress", "--input", str(workspace / "imgs" / "img_0.ppm"),
+                 "--output", str(mae), "--checkpoint", ckpt, "--lambda-index", "0"]) == 0
+    capsys.readouterr()
+    bits = Bitstream.from_bytes(mae.read_bytes())
+    bits.height = bits.latent_height = 0
+    patched.write_bytes(bits.to_bytes())
+    out = workspace / "zero0.ppm"
+    for argv in (["decompress", "--input", str(patched), "--output", str(out)],
+                 ["inspect", str(patched)]):
+        assert main(argv + ["--checkpoint", ckpt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: 0x96 image: image sides must be positive")
         assert "\n" not in captured.err.strip()
 
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maecodec import codec as codec_module
 from maecodec.checkpoint import Checkpoint
 from maecodec.codec import (MAX_PIXELS, LoadedCodec, compress, compress_image, decompress,
-                            decompress_image, evaluate_image, feature_ratio,
+                            decompress_image, evaluate_image, feature_ratio, inspect_stream,
                             operating_points, ratio_map_to_gray, rd_curve, rd_rows,
                             write_rd_csv)
 from maecodec.exceptions import (BitstreamError, ContractViolation, MaecodecError,
@@ -97,6 +98,21 @@ class TestCompressDecompress:
         bits.height = 1000  # the 4x4 latent would decode silently to 64x64
         with pytest.raises(BitstreamError, match="expected 63x4"):
             decompress_image(trained, bits.to_bytes())
+
+    def test_zero_side_rejected_before_decoding(self, trained, monkeypatch):
+        # a 0-pixel side fits a 0-row latent, and used to fail only in the
+        # decoder network, after all tables and symbol lookups were built
+        def no_decoding(*args):
+            raise AssertionError("a stream with a zero side was decoded")
+
+        monkeypatch.setattr(codec_module, "unpack", no_decoding)
+        bits = Bitstream.from_bytes(compress_image(trained, make_image(61, 64, 64), 0))
+        for height, width in ((0, 64), (64, 0)):
+            bits.height, bits.width = height, width
+            bits.latent_height, bits.latent_width = -(-height // 16), -(-width // 16)
+            for read in (decompress_image, inspect_stream):
+                with pytest.raises(BitstreamError, match="image sides must be positive"):
+                    read(trained, bits.to_bytes())
 
     def test_oversized_header_rejected_before_allocating(self, trained):
         # a 2 KB file declaring 65535 x 65535 pixels: 4096 x 4096 latents

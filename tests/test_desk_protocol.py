@@ -1,8 +1,9 @@
-"""The desk job table, and the byte-identity gate for desk checkpoints:
-``desk_protocol.py compare``."""
+"""The desk job table, the cache digest, and the byte-identity gate for desk
+checkpoints: ``desk_protocol.py compare``."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import desk_protocol
 
@@ -72,3 +73,25 @@ def test_job_table_covers_what_the_acceptance_suite_reads(tmp_path, monkeypatch)
     assert desk_protocol.pending_jobs()[1] == []
     (tmp_path / "independent2_seed1_it5000.ckpt").unlink()
     assert desk_protocol.pending_jobs()[1] == [("bottleneck", None, 1)]
+
+
+def test_cache_digest_ignores_comments_and_blank_lines(tmp_path, monkeypatch):
+    import maecodec
+
+    digest = desk_protocol._source_digest()
+    root = Path(maecodec.__file__).parent
+    for name in ("tensor.py", "gdn.py", "entropy.py", "network.py", "training.py",
+                 "synthetic.py"):
+        (tmp_path / name).write_bytes((root / name).read_bytes())
+    monkeypatch.setattr(maecodec, "__file__", str(tmp_path / "__init__.py"))
+    assert desk_protocol._source_digest() == digest
+    tensor = tmp_path / "tensor.py"
+    source = tensor.read_text()
+    line = '    return _unary("sqrt", x, _sqrt, lambda v, o: 0.5 / o)\n'
+    assert source.count(line) == 1
+    # a comment, a blank line, a whitespace-only line and a trailing space
+    tensor.write_text(source.replace(
+        line, "\n    \n" + line[:-1] + "  # d sqrt(v) = 1 / (2 sqrt(v)) \n"))
+    assert desk_protocol._source_digest() == digest
+    tensor.write_text(source.replace("0.5 / o", "0.25 / o"))
+    assert desk_protocol._source_digest() != digest

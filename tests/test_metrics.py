@@ -78,6 +78,20 @@ class TestMsSsim:
         with pytest.raises(ContractViolation):
             ms_ssim(rng.random((32, 32, 3)), rng.random((32, 48, 3)))
 
+    @pytest.mark.parametrize("shape", [(8, 9), (10, 40), (40, 10)])
+    def test_side_below_the_window_rejected(self, rng, shape):
+        x = rng.random(shape + (3,))
+        with pytest.raises(ContractViolation,
+                           match=f"at least 11 px .*, got {shape[0]}x{shape[1]}"):
+            ms_ssim(x, x)
+
+    def test_window_sized_image_scores(self, rng):
+        x = rng.random((11, 11, 3))
+        y = np.clip(x + rng.normal(0, 0.03, size=x.shape), 0, 1)
+        with pytest.warns(UserWarning, match="using 1"):
+            v = ms_ssim(x, y)
+        assert 0.0 < v < 1.0
+
     @pytest.mark.parametrize("shape", [(11, 11), (23, 17), (37, 51)])
     def test_separable_filter_matches_the_window_sum(self, rng, shape):
         maps = rng.random((3,) + shape)

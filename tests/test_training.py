@@ -24,6 +24,8 @@ from maecodec.training import (NETWORK_MODES, Adam, TrainingConfig, load_trainin
 import reference_gradcheck
 
 TR3 = TradeoffSet((64.0, 512.0, 4096.0))
+# the one message for a file that is not what Checkpoint._layout writes back
+NOT_WRITTEN = r"malformed checkpoint: not written as a checkpoint is \(every header key once"
 
 
 def tiny_config(**overrides):
@@ -481,11 +483,11 @@ class TestCheckpoint:
 
     def test_header_version_other_than_the_preamble_rejected(self):
         for version in (7, 0, 1.0, True, "1", None):
-            with pytest.raises(CheckpointError, match="version .* differs from the preamble's 1"):
+            with pytest.raises(CheckpointError, match=NOT_WRITTEN):
                 Checkpoint.from_bytes(self._patched(tiny_model(), None, version=version))
 
     def test_header_unknown_key_rejected(self):
-        with pytest.raises(CheckpointError, match="unknown keys 'foo'"):
+        with pytest.raises(CheckpointError, match=NOT_WRITTEN):
             Checkpoint.from_bytes(self._patched(tiny_model(), None, foo=1))
 
     def test_header_that_to_bytes_does_not_write_rejected(self):
@@ -508,18 +510,49 @@ class TestCheckpoint:
         reordered = [names[1], names[0]] + names[2:]
         for raw, message in (
                 (file(checkpoint._canonical(no_index)), "keys"),
-                (file(json.dumps(header).encode()), "space-free JSON"),
-                (file(json.dumps(header, sort_keys=True, indent=1).encode()), "space-free JSON"),
+                (file(json.dumps(header).encode()), NOT_WRITTEN),
+                (file(json.dumps(header, sort_keys=True, indent=1).encode()), NOT_WRITTEN),
                 (file(json.dumps(dict(reversed(header.items())), separators=(",", ":")).encode()),
-                 "sorted, space-free JSON"),
-                (file(checkpoint._canonical(listing(reordered)), reordered), "sorted name order"),
+                 NOT_WRITTEN),
+                (file(checkpoint._canonical(listing(reordered)), reordered), NOT_WRITTEN),
                 (file(checkpoint._canonical(listing(names[:1] + names)), names[:1] + names),
-                 "repeated")):
+                 NOT_WRITTEN),
+                (data + bytes(4), NOT_WRITTEN)):
             assert raw != data
             with pytest.raises(CheckpointError, match=message):
                 Checkpoint.from_bytes(raw)
         assert file(checkpoint._canonical(header)) == data
         assert Checkpoint.from_bytes(file(checkpoint._canonical(header))).to_bytes() == data
+
+    @pytest.mark.parametrize("mode", ["mae", "bottleneck", "plain"])
+    def test_file_and_hash_read_one_layout(self, mode):
+        # blocks held as float64, as a transposed (not C-contiguous) view and
+        # as big-endian float32 are written as the little-endian float32 file
+        clean = snapshot(tiny_model(mode), 3, lambda_index=1 if mode == "plain" else None)
+        kinds = (lambda a: a.astype(np.float64), lambda a: np.ascontiguousarray(a.T).T,
+                 lambda a: a.astype(">f4"))
+        held = dict(clean.params)
+        for k, name in enumerate(sorted(held)):
+            held[name] = kinds[k % 3](held[name])
+        assert any(not a.flags.c_contiguous for a in held.values())
+        ckpt = Checkpoint(clean.config, clean.mode, clean.lambdas, clean.iteration, held,
+                          clean.lambda_index)
+        head, *blocks = ckpt._layout()
+        assert all(b.dtype == np.dtype("<f4") and b.flags.c_contiguous for b in blocks)
+        data = ckpt.to_bytes()
+        assert data == clean.to_bytes() and data.startswith(head)
+        assert ckpt.model_hash == int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+        assert Checkpoint.from_bytes(data).model_hash == ckpt.model_hash
+
+    def test_model_hash_does_not_build_the_file(self, monkeypatch):
+        ckpt = snapshot(tiny_model(), 0)
+        expected = int.from_bytes(hashlib.sha256(ckpt.to_bytes()).digest()[:8], "big")
+
+        def no_file(self):
+            raise AssertionError("model_hash built the file")
+
+        monkeypatch.setattr(Checkpoint, "to_bytes", no_file)
+        assert ckpt.model_hash == expected
 
     def test_committed_checkpoints_load_with_the_hash_of_their_bytes(self):
         root = Path(__file__).resolve().parent.parent
@@ -528,7 +561,8 @@ class TestCheckpoint:
         for path in paths:
             data = path.read_bytes()
             expected = int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
-            assert Checkpoint.from_bytes(data).model_hash == expected, path.name
+            ckpt = Checkpoint.from_bytes(data)
+            assert ckpt.model_hash == expected and ckpt.to_bytes() == data, path.name
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(CheckpointError, match="iteration must be an integer >= 0, got -3"):
