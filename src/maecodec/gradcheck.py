@@ -2,8 +2,9 @@
 
 The program is recorded once; each central difference then replays only
 the tape nodes downstream of the perturbed coordinate, by calling each
-node's recorded ndarray kernel.  The wiring of a replay is resolved once
-per checked input, not once per difference.
+node's recorded ndarray kernel.  One pass over the tape marks which
+checked inputs each node depends on; the wiring of a replay is resolved
+once per checked input, not once per difference.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ def grad_check(fn, inputs):
         loss = fn(*work)
     if loss.size != 1:
         raise ContractViolation("grad_check needs a scalar-valued program")
-    grads = tape.backward(loss)
+    checked = [t for t in work if t.requires_grad]
+    grads = tape.backward(loss, params=checked)
 
     eps = 1e-4  # central-difference step
     worst = 0.0
-    checked = [t for t in work if t.requires_grad]
     for t, numeric in zip(checked, _numeric_gradients(fn, work, tape, loss, eps)):
-        g = grads.get(t)
-        analytic = np.zeros_like(t.data) if g is None else g
+        analytic = grads[t]
         worst = np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8), initial=worst)
     return float(worst)
 
@@ -58,12 +58,13 @@ def _numeric_gradients(fn, work, tape, loss, eps):
     primitive, would go unseen.
     """
     checked = [t for t in work if t.requires_grad]
+    marked = _dependencies(tape._nodes, checked)
     saved = [t.data.copy() for t in checked]
     signs = np.random.default_rng(0x67726164)
     for t in checked:
         t.data += eps * signs.choice((-1.0, 1.0), size=t.shape)
     called = fn(*work).item()
-    replayed = _compile(_downstream(tape._nodes, checked), loss)().item()
+    replayed = _compile([node for node, _ in marked], loss)().item()
     for t, data in zip(checked, saved):
         np.copyto(t.data, data)
     if called.hex() != replayed.hex():
@@ -72,8 +73,8 @@ def _numeric_gradients(fn, work, tape, loss, eps):
             "fn must be deterministic and see its inputs only through tensor primitives")
 
     numeric = []
-    for t in checked:
-        replay = _compile(_downstream(tape._nodes, [t]), loss)
+    for j, t in enumerate(checked):
+        replay = _compile([node for node, bits in marked if bits >> j & 1], loss)
         flat = t.data.reshape(-1)
         diffs = np.empty(flat.size)
         for i in range(flat.size):
@@ -88,15 +89,20 @@ def _numeric_gradients(fn, work, tape, loss, eps):
     return numeric
 
 
-def _downstream(nodes, sources):
-    """The nodes whose output depends on a tensor of ``sources``, in tape order."""
-    reached = {id(t) for t in sources}
-    picked = []
+def _dependencies(nodes, sources):
+    """(node, bits) for each node whose output depends on a tensor of
+    ``sources``, in tape order: bit i of bits is set when it depends on
+    sources[i]."""
+    marks = {id(t): 1 << i for i, t in enumerate(sources)}
+    marked = []
     for node in nodes:
-        if any(id(inp) in reached for inp in node.inputs):
-            reached.add(id(node.out))
-            picked.append(node)
-    return picked
+        bits = 0
+        for inp in node.inputs:
+            bits |= marks.get(id(inp), 0)
+        if bits:
+            marks[id(node.out)] = bits
+            marked.append((node, bits))
+    return marked
 
 
 def _compile(nodes, loss):

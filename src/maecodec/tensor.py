@@ -127,14 +127,16 @@ class GradientTape:
         return False
 
     def backward(self, loss, params=None):
-        """Accumulate d(loss)/d(leaf) for every requires_grad leaf on the
-        tape: a tensor that no recorded primitive made.
+        """Accumulate d(loss)/d(p) for every tensor p of ``params``, by
+        default every requires_grad leaf on the tape: a tensor that no
+        recorded primitive made.
 
-        Returns a dict keyed by Tensor identity.  Leaves not reachable from
-        ``loss`` get exact zeros, as does any tensor in ``params`` that never
-        appeared on the tape.  Tensors the tape made get no entry.  Raises
-        ContractViolation when a primitive returns a gradient whose dtype
-        differs from its input's.
+        Only the nodes that depend on ``params`` are walked.  Returns a dict
+        keyed by Tensor identity, one entry per tensor of ``params``: exact
+        zeros for one that ``loss`` does not depend on or that never
+        appeared on the tape.  Raises ContractViolation for a tensor in
+        ``params`` that the tape made, and when a primitive returns a
+        gradient whose dtype differs from its input's.
         """
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractViolation("backward() needs a scalar loss tensor")
@@ -142,13 +144,27 @@ class GradientTape:
             raise RuntimeError("GradientTape is single use; record a new forward pass")
         self._spent = True
 
+        if params is None:
+            nodes = self._nodes
+            made = {id(node.out) for node in nodes}
+            params = list({id(inp): inp for node in nodes for inp in node.inputs
+                           if inp.requires_grad and id(inp) not in made}.values())
+        else:
+            # one pass: what the tape made, and the nodes downstream of params
+            made, reached, nodes = set(), {id(p) for p in params}, []
+            for node in self._nodes:
+                made.add(id(node.out))
+                for inp in node.inputs:
+                    if id(inp) in reached:
+                        reached.add(id(node.out))
+                        nodes.append(node)
+                        break
+            if not made.isdisjoint(map(id, params)):
+                raise ContractViolation("backward(params=...) takes leaves; the tape made "
+                                        "a tensor of params")
+
         flowing = {id(loss): np.ones_like(loss.data)}
-        made = {id(node.out) for node in self._nodes}
-        watched = {}
-        for node in reversed(self._nodes):
-            for inp in node.inputs:
-                if inp.requires_grad and id(inp) not in made and id(inp) not in watched:
-                    watched[id(inp)] = inp
+        for node in reversed(nodes):
             g = flowing.pop(id(node.out), None)
             if g is None:
                 continue
@@ -165,21 +181,20 @@ class GradientTape:
                 flowing[id(inp)] = gin if have is None else have + gin
 
         result = {}
-        for key, t in watched.items():
-            g = flowing.get(key)
-            result[t] = np.zeros_like(t.data) if g is None else np.ascontiguousarray(g)
-        if params is not None:
-            for p in params:
-                if p not in result:
-                    result[p] = np.zeros_like(p.data)
+        for p in params:
+            g = flowing.get(id(p))
+            result[p] = np.zeros_like(p.data) if g is None else np.ascontiguousarray(g)
         return result
 
 
 def _record(name, out, inputs, backward, forward):
-    stack = getattr(_tls, "stack", None)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    if stack and out.requires_grad:
-        stack[-1]._nodes.append(_Node(name, out, inputs, backward, forward))
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            stack = getattr(_tls, "stack", None)
+            if stack:
+                stack[-1]._nodes.append(_Node(name, out, inputs, backward, forward))
+            break
     return out
 
 
@@ -204,26 +219,36 @@ def _pad_hw(x, pad):
 # Convolutions run as GEMMs over channels-first arrays: an array of shape
 # (..., N, h, w) stands for the matrix whose columns are its N*h*w spatial
 # positions and whose rows flatten the leading axes.  _im2col gathers the
-# strided windows of a feature map into such an array; _col2im and
-# _phase_scatter add one back.
+# strided windows of a feature map into such an array, or, for a small
+# product, straight into its positions-major transpose (_positions);
+# _col2im and _phase_scatter add one back.
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """(C, kh, kw, N, ho, wo) array of the strided kh x kw windows of x,
-    zero-padded by ``padding`` on each side.
+def _im2col(x, kh, kw, stride, padding, rows):
+    """The strided kh x kw windows of x, zero-padded by ``padding`` on each
+    side, for a product with a (rows, C*kh*kw) kernel matrix.
 
-    Entry (c, a, b, n, i, j) is tap (a, b) of channel c in the window of
-    output position (n, i, j).  The result is a fresh C-contiguous copy of
-    one strided view, never a view of x: callers keep it for backward.
-    1x1 windows at stride 1 are the padded x itself, returned as a
-    (C, N, H, W) view.
+    A product that is small for either of its two uses (the forward map
+    and the kernel gradient, see _small_gemm) gets the (N*ho*wo, C*kh*kw)
+    matrix whose row (n, i, j) is the window of output position (n, i, j),
+    the layout those products multiply; a blocked one gets the (C, kh, kw,
+    N, ho, wo) array, entry (c, a, b, n, i, j) tap (a, b) of channel c in
+    the window of (n, i, j).  Either is a fresh C-contiguous copy of one
+    strided view, never a view of x: callers keep it for backward.  1x1
+    windows at stride 1 are the padded x itself, returned as a (C, N, H, W)
+    view.
     """
     x = _pad_hw(x, padding)
     if kh == kw == stride == 1:
         return x.transpose(1, 0, 2, 3)
     n, c, h, w = x.shape
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
     sn, sc, sh, sw = x.strides
-    return as_strided(x, (c, kh, kw, n, (h - kh) // stride + 1, (w - kw) // stride + 1),
+    m, k = n * ho * wo, c * kh * kw
+    if _small_gemm(rows, k, m) or _small_gemm(rows, m, k):
+        return as_strided(x, (n, ho, wo, c, kh, kw),
+                          (sn, sh * stride, sw * stride, sc, sh, sw)).copy().reshape(m, k)
+    return as_strided(x, (c, kh, kw, n, ho, wo),
                       (sc, sh, sw, sn, sh * stride, sw * stride)).copy()
 
 
@@ -321,18 +346,19 @@ def _scatter_index(c, kh, kw, stride, h, w, n, hc, wc):
 
 def _rows(arr):
     # (..., N, h, w) -> (rows, N*h*w); a view unless N > 1 and arr is a
-    # transposed NCHW array
+    # transposed NCHW array.  _im2col's positions matrix is transposed
+    if arr.ndim == 2:
+        return arr.T
     return arr.reshape(-1, arr.shape[-3] * arr.shape[-2] * arr.shape[-1])
 
 
 def _positions(arr):
-    # (..., N, h, w) -> (N*h*w, rows), laid out as np.tensordot laid out
-    # the same matrix: a view of a (C, N, h, w) array where one exists, a
-    # C-contiguous copy of a (C, kh, kw, N, h, w) window buffer
-    lead = arr.ndim - 3
-    axes = (lead, lead + 1, lead + 2) + tuple(range(lead))
-    mat = arr.transpose(axes).reshape(arr.shape[-3] * arr.shape[-2] * arr.shape[-1], -1)
-    return mat if lead == 1 else np.ascontiguousarray(mat)
+    # (C, N, h, w) -> (N*h*w, C), laid out as np.tensordot laid out the
+    # same matrix, a view where one exists; _im2col's positions matrix is
+    # already that matrix
+    if arr.ndim == 2:
+        return arr
+    return arr.transpose(1, 2, 3, 0).reshape(-1, arr.shape[0])
 
 
 # Small products (at most _SMALL_GEMM multiply-adds) and matrix-vector
@@ -353,8 +379,7 @@ def _small_gemm(p, q, m):
 
 def _matmul_positions(a, arr):
     """a (p, q) @ _rows(arr) -> (p, N*h*w)."""
-    m = arr.shape[-3] * arr.shape[-2] * arr.shape[-1]
-    if _small_gemm(a.shape[0], a.shape[1], m):
+    if _small_gemm(a.shape[0], a.shape[1], arr.size // a.shape[1]):
         return np.dot(_positions(arr), a.T).T
     return a @ _rows(arr)
 
@@ -416,9 +441,11 @@ def conv2d(x, kernel, stride=1, padding=0):
 def _conv2d(x, kernel, stride, padding):
     """conv2d's forward on arrays, and conv2d_transpose's input gradient:
     the output and the window buffer that a kernel gradient reads."""
+    n, _, h, w = x.shape
     co, _, kh, kw = kernel.shape
-    cols = _im2col(x, kh, kw, stride, padding)
-    out = _matmul_positions(kernel.reshape(co, -1), cols).reshape((co,) + cols.shape[-3:])
+    cols = _im2col(x, kh, kw, stride, padding, co)
+    out = _matmul_positions(kernel.reshape(co, -1), cols).reshape(
+        co, n, (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
@@ -453,7 +480,7 @@ def conv2d_transpose(x, kernel, stride=1, padding=0):
         if x.requires_grad:
             gx, cols = _conv2d(g, kernel.data, stride, padding)
         else:
-            gx, cols = None, _im2col(g, kh, kw, stride, padding)
+            gx, cols = None, _im2col(g, kh, kw, stride, padding, ki)
         gk = None
         if kernel.requires_grad:
             gk = _kernel_grad(x.data.transpose(1, 0, 2, 3), cols, kernel.shape)
@@ -601,12 +628,16 @@ def softplus(x):
     return _unary("softplus", x, lambda v: np.logaddexp(0.0, v), lambda v, o: _sigmoid(v))
 
 
-def _domain_check(ok_mask, op_name, requirement):
-    if not ok_mask.all():
-        idx = tuple(int(i) for i in np.argwhere(~ok_mask)[0])
-        raise NumericDomainError(
-            f"{op_name} requires {requirement}; violated at element {idx}"
-        )
+def _domain_error(bad_mask, op_name, requirement):
+    idx = tuple(int(i) for i in np.argwhere(bad_mask)[0])
+    raise NumericDomainError(f"{op_name} requires {requirement}; violated at element {idx}")
+
+
+def _check_positive(v, op_name):
+    # one reduction: the min of an array holding a NaN is NaN, and NaN > 0
+    # is False; the mask is built only to name the failing element
+    if v.size and not v.min() > 0:
+        _domain_error(~(v > 0), op_name, "strictly positive inputs")
 
 
 def sqrt(x):
@@ -614,7 +645,7 @@ def sqrt(x):
 
 
 def _sqrt(v):
-    _domain_check(v > 0, "sqrt", "strictly positive inputs")
+    _check_positive(v, "sqrt")
     return np.sqrt(v)
 
 
@@ -626,7 +657,7 @@ def log2(x):
 
 
 def _log2(v):
-    _domain_check(v > 0, "log2", "strictly positive inputs")
+    _check_positive(v, "log2")
     return np.log2(v)
 
 
@@ -644,7 +675,10 @@ def _binary_operands(a, b, op_name):
 
 
 def _broadcasts(x, to):
-    # one element, or x has to's ndim and each of its extents is 1 or to's
+    # equal shapes, one element, or x has to's ndim and each of its extents
+    # is 1 or to's
+    if x.shape == to.shape:
+        return True
     return x.size == 1 or (x.ndim == to.ndim
                            and all(s in (1, t) for s, t in zip(x.shape, to.shape)))
 
@@ -709,7 +743,9 @@ def div(a, b):
 
 
 def _div(a, b):
-    _domain_check(b != 0, "div", "a nonzero divisor")
+    # one reduction: all() counts NaN as nonzero, as b != 0 does
+    if not b.all():
+        _domain_error(b == 0, "div", "a nonzero divisor")
     return a / b
 
 

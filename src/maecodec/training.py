@@ -8,6 +8,7 @@ bit-reproducible regardless of how batches are prepared.
 from __future__ import annotations
 
 import csv
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,18 +302,24 @@ def _abort_if_nonfinite(loss, bpp, mse, iteration, lam):
 
 
 class _TrainLog:
+    # one CSV row per iteration; ms is the wall time since the row before,
+    # or since the log opened
     def __init__(self, path):
         self._file = None
         if path is not None:
             self._file = open(path, "a", newline="")
             self._writer = csv.writer(self._file)
             if self._file.tell() == 0:
-                self._writer.writerow(["iteration", "lambda", "rate_bpp", "mse", "loss", "lr"])
+                self._writer.writerow(["iteration", "lambda", "rate_bpp", "mse", "loss", "lr",
+                                       "ms"])
+            self._last = time.perf_counter()
 
     def row(self, iteration, lam, bpp, mse, loss, lr):
         if self._file is not None:
+            now = time.perf_counter()
             self._writer.writerow([iteration, f"{lam:g}", f"{bpp:.6f}", f"{mse:.8f}",
-                                   f"{loss:.6f}", f"{lr:.6g}"])
+                                   f"{loss:.6f}", f"{lr:.6g}", f"{1e3 * (now - self._last):.2f}"])
+            self._last = now
 
     def close(self):
         if self._file is not None:

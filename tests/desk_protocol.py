@@ -146,7 +146,9 @@ def independent_top(ckpt):
 
 def run_job(method, lambda_index, seed):
     """Train one (method, seed) pair and write its checkpoints, printing a
-    line when it starts and one per checkpoint saved."""
+    line when it starts and one per checkpoint saved.  Its per-iteration
+    training log, started afresh, is ``<tag>.log.csv`` in the cache
+    directory."""
     from maecodec.training import train
 
     outputs = job_outputs(method, lambda_index, seed)
@@ -156,7 +158,9 @@ def run_job(method, lambda_index, seed):
     start = time.perf_counter()
     print(f"[{tag}] training in {cache_dir().name}/", flush=True)
     cache_dir().mkdir(parents=True, exist_ok=True)
-    series = train(job_config(method, lambda_index, seed), training_images())
+    log = cache_dir() / f"{tag}.log.csv"
+    log.unlink(missing_ok=True)
+    series = train(job_config(method, lambda_index, seed), training_images(), log_path=log)
     for iteration, ckpt in series:
         saves = [(outputs[(method, lambda_index, seed)][iteration], ckpt)]
         if method == "bottleneck":

@@ -33,7 +33,7 @@ def workspace(tmp_path_factory):
 def test_train_wrote_checkpoint_and_log(workspace):
     assert (workspace / "model.ckpt").exists()
     log = (workspace / "model.ckpt.log.csv").read_text().splitlines()
-    assert log[0] == "iteration,lambda,rate_bpp,mse,loss,lr"
+    assert log[0] == "iteration,lambda,rate_bpp,mse,loss,lr,ms"
     assert len(log) == 1 + 40 + 2 * 5  # header, top-tradeoff and joint iterations
 
 

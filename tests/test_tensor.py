@@ -10,6 +10,7 @@ import pytest
 
 from maecodec import tensor as T
 from maecodec.exceptions import ContractViolation, NumericDomainError
+from maecodec.network import CodecConfig, TradeoffSet, parameter_table
 
 import reference_conv
 from conftest import inner, tensor64
@@ -194,6 +195,11 @@ CONV_CASES = _network_stage_cases() + [
     # a window as wide as its input: the strided view is already contiguous
     ("conv", 1, 3, 4, 5, 5, 5, 1, 0),
     ("conv", 1, 3, 32, 9, 9, 9, 4, 0),
+    # an input that needs no gradient: the transposed kernel's gradient
+    # gathers the windows of the output's gradient itself, as a small
+    # product (the grad-check model's last stage) and as a blocked one
+    ("convT-const-input", 1, 3, 3, 4, 4, 9, 4, 4),
+    ("convT-const-input", 8, 32, 32, 12, 12, 5, 2, 2),
 ]
 
 # the transposed kernel scatters (16*4*4) x (ho*wo) contribution elements:
@@ -216,14 +222,16 @@ def _conv_and_grads(module, case, dtype):
     x = rng.standard_normal((n, ci, h, w)).astype(dtype)
     kshape = (co, ci, k, k) if kind == "conv" else (ci, co, k, k)
     kernel = (0.1 * rng.standard_normal(kshape)).astype(dtype)
-    xt, kt = T.Tensor(x, requires_grad=True), T.Tensor(kernel, requires_grad=True)
+    xt = T.Tensor(x, requires_grad=kind != "convT-const-input")
+    kt = T.Tensor(kernel, requires_grad=True)
     with T.GradientTape() as tape:
         conv = module.conv2d if kind == "conv" else module.conv2d_transpose
         y = conv(xt, kt, stride, pad)
         weights = np.random.default_rng(7).standard_normal(y.shape).astype(dtype)
         loss = T.reduce_sum(T.mul(y, T.Tensor(weights)))
     grads = tape.backward(loss)
-    return y.data, grads[xt], grads[kt]
+    got = {"output": y.data, "input grad": grads.get(xt), "kernel grad": grads[kt]}
+    return {name: a for name, a in got.items() if a is not None}
 
 
 class TestConvAgainstReference:
@@ -235,7 +243,8 @@ class TestConvAgainstReference:
     def test_float32_bit_identical(self, case):
         got = _conv_and_grads(T, case, np.float32)
         ref = _conv_and_grads(reference_conv, case, np.float32)
-        for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
+        assert got.keys() == ref.keys()
+        for name, a, b in zip(got, got.values(), ref.values()):
             assert a.dtype == b.dtype == np.float32 and a.flags.c_contiguous, name
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -243,7 +252,8 @@ class TestConvAgainstReference:
     def test_float64_matches(self, case):
         got = _conv_and_grads(T, case, np.float64)
         ref = _conv_and_grads(reference_conv, case, np.float64)
-        for name, a, b in zip(("output", "input grad", "kernel grad"), got, ref):
+        assert got.keys() == ref.keys()
+        for name, a, b in zip(got, got.values(), ref.values()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
                                        err_msg=name)
 
@@ -288,7 +298,7 @@ class TestConvAgainstReference:
         for case, got in zip(cases * 3, kept):
             fresh = _conv_and_grads(T, case, np.float32)
             T._scatter_index.cache_clear()
-            for a, b in zip(got, fresh):
+            for a, b in zip(got.values(), fresh.values()):
                 assert a.tobytes() == b.tobytes()
 
     def test_scatter_cases_straddle_the_threshold(self):
@@ -311,7 +321,7 @@ class TestConvAgainstReference:
             x = np.zeros((n, ci, h, w))
         else:  # the backward pass gathers from the output's gradient
             x = np.zeros((n, co, h * stride - 2 * pad + k - 1, w * stride - 2 * pad + k - 1))
-        cols = T._im2col(x, k, k, stride, pad)
+        cols = T._im2col(x, k, k, stride, pad, co if kind == "conv" else ci)
         if k == stride == 1:
             assert np.shares_memory(cols, x)
         else:
@@ -435,13 +445,32 @@ class TestElementwise:
         assert grad.dtype == dtype
         assert grad.tobytes() == s.tobytes()
 
-    def test_domain_errors_identify_element(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_domain_errors_identify_element(self, dtype):
         with pytest.raises(NumericDomainError, match=r"\(1,\)"):
-            T.sqrt(T.Tensor([1.0, -1.0]))
+            T.sqrt(T.Tensor(np.array([1.0, -1.0], dtype)))
         with pytest.raises(NumericDomainError, match=r"\(0,\)"):
-            T.log2(T.Tensor([0.0, 1.0]))
+            T.log2(T.Tensor(np.array([0.0, 1.0], dtype)))
         with pytest.raises(NumericDomainError, match="nonzero"):
-            T.div(T.Tensor([1.0]), T.Tensor([0.0]))
+            T.div(T.Tensor(np.array([1.0], dtype)), T.Tensor(np.array([0.0], dtype)))
+        # a NaN, a zero, a negative zero and a negative entry, each named
+        for op in (T.sqrt, T.log2):
+            for bad in (np.nan, 0.0, -0.0, -2.0):
+                v = np.full((2, 3), 4.0, dtype)
+                v[1, 2] = bad
+                with pytest.raises(NumericDomainError,
+                                   match=r"strictly positive inputs; violated at element \(1, 2\)"):
+                    op(T.Tensor(v))
+        # a NaN divisor is not zero; a zero one is named
+        out = T.div(T.Tensor(np.ones(3, dtype)), T.Tensor(np.array([2.0, np.nan, 4.0], dtype)))
+        assert out.dtype == dtype and np.isnan(out.data[1]) and out.data[2] == 0.25
+        with pytest.raises(NumericDomainError,
+                           match=r"nonzero divisor; violated at element \(2,\)"):
+            T.div(T.Tensor(np.ones(3, dtype)), T.Tensor(np.array([np.nan, 1.0, 0.0], dtype)))
+        # an empty input has nothing to check
+        empty = T.Tensor(np.empty(0, dtype))
+        for out in (T.sqrt(empty), T.log2(empty), T.div(empty, empty)):
+            assert out.shape == (0,) and out.dtype == dtype
 
 
 class TestReduce:
@@ -499,6 +528,46 @@ class TestBackward:
         grads = tape.backward(z)
         assert list(grads) == [x]
         np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+
+    def test_params_walk_only_the_nodes_that_depend_on_them(self):
+        # one modulation net of the full objective: exactly its tensors come
+        # back, with the bits of the backward over every leaf, and the
+        # first encoder conv, upstream of the net, is never differentiated
+        fn, params = full_loss_program(0)
+        names = [name for name, _, _ in parameter_table(
+            CodecConfig(channels=3, mod_hidden=3), TradeoffSet((0.25, 1.0)), "mae")]
+        net = [p for name, p in zip(names, params) if name.startswith("modulate1.")]
+        conv0 = params[names.index("encoder.conv0.kernel")]
+        assert len(net) == 4
+
+        def recorded():
+            with T.GradientTape() as tape:
+                loss = fn(*params)
+            node = next(n for n in tape._nodes if n.name == "conv2d" and n.inputs[1] is conv0)
+            return tape, loss, node
+
+        tape, loss, _ = recorded()
+        every = tape.backward(loss)
+        assert all(p in every for p in net)
+        tape, loss, node = recorded()
+
+        def refuse(g):
+            raise AssertionError("walked a node that does not depend on params")
+
+        node.backward = refuse
+        grads = tape.backward(loss, params=net)
+        assert list(grads) == net
+        for p in net:
+            assert grads[p].dtype == p.dtype and grads[p].tobytes() == every[p].tobytes()
+            assert np.abs(grads[p]).sum() > 0
+
+    def test_params_made_on_the_tape_rejected(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        with T.GradientTape() as tape:
+            y = T.mul(x, x)
+            z = T.reduce_sum(y)
+        with pytest.raises(ContractViolation, match="takes leaves"):
+            tape.backward(z, params=[x, y])
 
     def test_non_scalar_loss_rejected(self, rng):
         x = tensor64(rng, (2, 2))

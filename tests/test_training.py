@@ -373,9 +373,11 @@ class TestTrainLoop:
         log = tmp_path / "log.csv"
         train(tiny_config(total_iters=3, halve_at=3), images, log_path=log)
         lines = log.read_text().splitlines()
-        assert lines[0] == "iteration,lambda,rate_bpp,mse,loss,lr"
+        assert lines[0] == "iteration,lambda,rate_bpp,mse,loss,lr,ms"
         # 3 top-tradeoff rows, then 2 joint rows per non-top tradeoff
         assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(1, 8)]
+        # wall milliseconds since the row before
+        assert all(float(line.split(",")[6]) >= 0.0 for line in lines[1:])
 
 
 class TestGradientDtype:
