@@ -26,7 +26,6 @@ import math
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import ContractViolation, NumericDomainError
 
@@ -241,23 +240,31 @@ def _im2col(x, kh, kw, stride, padding, rows):
     x = _pad_hw(x, padding)
     if kh == kw == stride == 1:
         return x.transpose(1, 0, 2, 3)
+    if not x.flags.c_contiguous:
+        # an unpadded gradient may be a view; the window view below reads
+        # a C-contiguous buffer
+        x = x.copy()
     n, c, h, w = x.shape
     ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
     sn, sc, sh, sw = x.strides
     m, k = n * ho * wo, c * kh * kw
     if _small_gemm(rows, k, m) or _small_gemm(rows, m, k):
-        return as_strided(x, (n, ho, wo, c, kh, kw),
-                          (sn, sh * stride, sw * stride, sc, sh, sw)).copy().reshape(m, k)
-    return as_strided(x, (c, kh, kw, n, ho, wo),
-                      (sc, sh, sw, sn, sh * stride, sw * stride)).copy()
+        return np.ndarray((n, ho, wo, c, kh, kw), x.dtype, x,
+                          strides=(sn, sh * stride, sw * stride, sc, sh, sw)).copy().reshape(m, k)
+    return np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x,
+                      strides=(sc, sh, sw, sn, sh * stride, sw * stride)).copy()
 
 
 # Overlapping windows whose contribution matrix has at most this many
 # elements are scattered by _col2im as one np.add.at over an index kept per
 # shape; larger ones by _phase_scatter.  Measured on one core (float32, index
-# kept), the two cross near this bound: 0.263 against 0.262 ms at 69,632
-# elements.  A kept index costs 8 bytes per element: at most
-# _SCATTER_INDICES of them, 512 KiB each, hold 16 MiB.
+# kept, whole _conv2d_transpose calls), where the two cross depends on the
+# stage: near 50,000 elements for 5x5 stride-2 windows over 32 channels
+# (phase/add.at 1.38 at 33,600, 0.91 at 51,200 and 57,600, but 1.23 for
+# eight 3x3 inputs at 57,600) and near 140,000 for 9x9 stride-4 windows to
+# 3 channels (1.52 at 69,984, 0.95 at 145,800); this bound lies between.
+# A kept index costs 8 bytes per element: at most _SCATTER_INDICES of
+# them, 512 KiB each, hold 16 MiB.
 _SMALL_SCATTER = 1 << 16
 _SCATTER_INDICES = 32
 
@@ -292,26 +299,33 @@ def _col2im(contrib, canvas, kh, kw, stride, h, w):
     return canvas
 
 
-def _phase_scatter(contrib, out, kh, kw, stride, padding, h, v):
-    """Write the scatter of a (C*kh*kw, N*h*v) contribution matrix, cropped
-    by ``padding`` on each side, into the NCHW array ``out``.
+def _phase_scatter(contrib, out, kh, kw, stride, padding):
+    """Write the scatter of a (kh*kw*C, N*rows*v) contribution matrix,
+    cropped by ``padding`` on each side, into the NCHW array ``out``.
 
     _col2im by stride phase.  Canvas pixel (i*stride + a, j*stride + b)
     receives tap (a, b) of window (i, j), so the pixels of one phase
     (a % stride, b % stride) receive only that phase's taps, tap (a, b) at
-    position (i + a // stride, j + b // stride) of the phase's plane.  The
-    contribution's windows run v >= w + (kw - 1) // stride wide, zero past
-    the input's w columns; on a plane whose rows are v long, each tap is
-    one flat slice at offset (a // stride)*v + b // stride, and what it
-    adds past a row's end comes from those zero columns.  Every pixel
-    starts at +0.0 and adds its taps in (a, b) order, as in _col2im: under
-    round to nearest, a sum that starts at +0.0 never becomes -0.0, so the
-    zero columns' +-0.0 leave every bit as it is.
+    position (i + a // stride, j + b // stride) of the phase's (C, N, rows,
+    v) plane, whose rows and v cover the canvas's rows and columns of that
+    phase.  The contribution's rows are tap-major, (a, b, c), and its
+    windows span the whole plane, zero past the input's h rows and w
+    columns.  Each tap is then one flat slice of the plane at offset
+    (a // stride)*v + b // stride: what it adds past a row's end, or past a
+    (channel, image) block's end, comes from those zero rows and columns
+    (rows >= h + (kh - 1) // stride and v >= w + (kw - 1) // stride keep
+    every real contribution inside its block), and so does the tail it
+    drops.  Every pixel starts at +0.0 and adds its taps in (a, b) order,
+    as in _col2im: under round to nearest, a sum that starts at +0.0 never
+    becomes -0.0, so the zeros' +-0.0 leave every bit as it is.
     """
     n, c, ho, wo = out.shape
-    rows = -(-(ho + 2 * padding) // stride) + 1
-    contrib = contrib.reshape(c, kh, kw, n, h * v)
-    plane = np.empty((c, n, rows * v), dtype=contrib.dtype)
+    rows, v = -(-(ho + 2 * padding) // stride), -(-(wo + 2 * padding) // stride)
+    size = c * n * rows * v
+    # a view of a blocked product; a small one (under 32 input channels on
+    # this path, which no model stage has) comes back transposed and is copied
+    contrib = contrib.reshape(kh, kw, size)
+    plane = np.empty(size, dtype=contrib.dtype)
     grid = plane.reshape(c, n, rows, v)
     for ry in range(stride):
         oy = (ry - padding) % stride
@@ -324,7 +338,7 @@ def _phase_scatter(contrib, out, kh, kw, stride, padding, h, v):
             for a in range(ry, kh, stride):
                 for b in range(rx, kw, stride):
                     at = (a // stride) * v + b // stride
-                    plane[:, :, at : at + h * v] += contrib[:, a, b]
+                    plane[at:] += contrib[a, b, : size - at]
             target[...] = grid[:, :, u0 : u0 + target.shape[2],
                                v0 : v0 + target.shape[3]].transpose(1, 0, 2, 3)
     return out
@@ -498,16 +512,17 @@ def _conv2d_transpose(x, kernel, stride, padding, extra):
     _, co, kh, kw = kernel.shape
     hc = (h - 1) * stride + kh + extra[0]
     wc = (w - 1) * stride + kw + extra[1]
-    taps = kernel.reshape(ci, -1).T
     if _phase_major(kh, kw, stride, co * kh * kw * n * h * w):
-        v = -(-wc // stride)
-        wide = np.zeros((n, ci, h, v), dtype=x.dtype)
-        wide[:, :, :, :w] = x
+        # tap-major rows, (a, b, co), over the input zero-padded to the
+        # phase plane's rows and columns (_phase_scatter)
+        wide = np.zeros((ci, n, -(-hc // stride), -(-wc // stride)), dtype=x.dtype)
+        wide[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
         out = np.empty((n, co, hc - 2 * padding, wc - 2 * padding), dtype=x.dtype)
-        return _phase_scatter(_matmul_positions(taps, wide.transpose(1, 0, 2, 3)), out,
-                              kh, kw, stride, padding, h, v)
+        return _phase_scatter(_matmul_positions(kernel.transpose(0, 2, 3, 1).reshape(ci, -1).T,
+                                                wide), out, kh, kw, stride, padding)
     canvas = np.zeros((n, co, hc, wc), dtype=x.dtype)
-    _col2im(_matmul_positions(taps, x.transpose(1, 0, 2, 3)), canvas, kh, kw, stride, h, w)
+    _col2im(_matmul_positions(kernel.reshape(ci, -1).T, x.transpose(1, 0, 2, 3)), canvas,
+            kh, kw, stride, h, w)
     return np.ascontiguousarray(canvas[:, :, padding : hc - padding, padding : wc - padding])
 
 

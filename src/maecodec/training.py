@@ -187,7 +187,13 @@ def tradeoff_weight(model, lam):
 
 class Adam:
     """Standard Adam with bias correction and a per-parameter learning-rate
-    scale (the entropy model trains faster than the transforms)."""
+    scale (the entropy model trains faster than the transforms).
+
+    The parameters of one dtype and scale form a group whose moments are
+    kept flat: a step gathers the group's gradients, which must have their
+    parameters' dtypes, into one buffer and runs each update ufunc once
+    over it.  Each element sees the arithmetic of a per-tensor update, so
+    the bits do not depend on the grouping."""
 
     _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
@@ -195,8 +201,17 @@ class Adam:
         self.params = list(params)
         self.lr_scale = list(lr_scale) if lr_scale is not None else [1.0] * len(self.params)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        members = {}
+        for p, scale in zip(self.params, self.lr_scale):
+            members.setdefault((p.data.dtype, scale), []).append(p)
+        # (scale, params, rows m, v, gradients and update, the params'
+        # slices of the update row)
+        self._groups = []
+        for (dtype, scale), group in members.items():
+            rows = np.zeros((4, sum(p.size for p in group)), dtype)
+            ends = np.cumsum([p.size for p in group])
+            updates = [rows[3, end - p.size : end].reshape(p.shape) for p, end in zip(group, ends)]
+            self._groups.append((scale, group, rows, updates))
 
     def step(self, grads, lr):
         """One update; ``grads`` maps Tensor -> ndarray, ``lr`` is the base
@@ -205,15 +220,21 @@ class Adam:
         b1, b2 = self._BETA1, self._BETA2
         correction1 = 1.0 - b1 ** self.step_count
         correction2 = 1.0 - b2 ** self.step_count
-        for p, m, v, scale in zip(self.params, self.m, self.v, self.lr_scale):
-            g = grads[p]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p.data -= (lr * scale) * m_hat / (np.sqrt(v_hat) + self._EPS)
+        for scale, group, rows, updates in self._groups:
+            m, v, g, step = rows
+            np.concatenate([grads[p].reshape(-1) for p in group], out=g, casting="no")
+            # m = b1*m + (1 - b1)*g;  v = b2*v + (1 - b2)*g^2
+            np.multiply(m, b1, out=m)
+            np.add(m, np.multiply(g, 1.0 - b1, out=step), out=m)
+            np.multiply(v, b2, out=v)
+            np.add(v, np.multiply(np.square(g, out=step), 1.0 - b2, out=step), out=v)
+            # step = (lr*scale) * m_hat / (sqrt(v_hat) + eps), the
+            # denominator in g's row
+            np.multiply(np.divide(m, correction1, out=step), lr * scale, out=step)
+            np.add(np.sqrt(np.divide(v, correction2, out=g), out=g), self._EPS, out=g)
+            np.divide(step, g, out=step)
+            for p, update in zip(group, updates):
+                p.data -= update
 
 
 def adam_for_model(model, trainable=None, lr_entropy_scale=1.0):

@@ -23,6 +23,7 @@ single-threaded worker processes (two in parallel; at these tensor sizes
 BLAS threading is a slowdown, process parallelism is not).
 """
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -144,31 +145,46 @@ def independent_top(ckpt):
         params={n: b for n, b in ckpt.params.items() if n in plain})
 
 
+def reached_seconds(log, final):
+    """{iteration: seconds} from a training log's ms column: the training
+    time summed up to the first row of each iteration, and for ``final``
+    up to the last row (the bottleneck's scale-only phases log after the
+    final iteration)."""
+    reached, total = {}, 0.0
+    with open(log, newline="") as f:
+        for row in csv.DictReader(f):
+            total += float(row["ms"]) / 1e3
+            reached.setdefault(int(row["iteration"]), total)
+    reached[final] = total
+    return reached
+
+
 def run_job(method, lambda_index, seed):
     """Train one (method, seed) pair and write its checkpoints, printing a
-    line when it starts and one per checkpoint saved.  Its per-iteration
-    training log, started afresh, is ``<tag>.log.csv`` in the cache
-    directory."""
+    line when it starts and one per checkpoint saved, with the training
+    time at which its iteration was reached (reached_seconds).  Its
+    per-iteration training log, started afresh, is ``<tag>.log.csv`` in
+    the cache directory."""
     from maecodec.training import train
 
     outputs = job_outputs(method, lambda_index, seed)
     if all(p.exists() for paths in outputs.values() for p in paths.values()):
         return
     tag = job_tag(method, lambda_index, seed)
-    start = time.perf_counter()
     print(f"[{tag}] training in {cache_dir().name}/", flush=True)
     cache_dir().mkdir(parents=True, exist_ok=True)
     log = cache_dir() / f"{tag}.log.csv"
     log.unlink(missing_ok=True)
     series = train(job_config(method, lambda_index, seed), training_images(), log_path=log)
+    reached = reached_seconds(log, series[-1][0])
     for iteration, ckpt in series:
         saves = [(outputs[(method, lambda_index, seed)][iteration], ckpt)]
         if method == "bottleneck":
             saves.append((outputs[("independent", TOP, seed)][iteration], independent_top(ckpt)))
         for path, model in saves:
             model.save(path)
-            print(f"[{tag}] saved iteration {iteration} ({path.name}) "
-                  f"at {time.perf_counter() - start:.1f} s", flush=True)
+            print(f"[{tag}] saved iteration {iteration} ({path.name}), "
+                  f"reached at {reached[iteration]:.1f} s", flush=True)
 
 
 def pending_jobs():
@@ -185,7 +201,8 @@ def pending_jobs():
 
 
 def ensure_trained(max_workers=2, log=print):
-    """Train every missing (method, seed) job, two worker processes at a time.
+    """Train every missing (method, seed) job, two worker processes at a time,
+    and log a last line with the job count and the wall seconds they took.
 
     Returns a dict (method, lambda_index, seed) -> {iteration: path}.
     """
@@ -193,6 +210,7 @@ def ensure_trained(max_workers=2, log=print):
     if not pending:
         return result
 
+    start = time.perf_counter()
     cache_dir().mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -227,6 +245,8 @@ def ensure_trained(max_workers=2, log=print):
                     f"desk training job {job} failed (exit {proc.returncode}):\n"
                     f"{logfile.read_text() if logfile.exists() else ''}")
             log(f"[desk] finished {job}")
+    log(f"[desk] trained {len(pending)} jobs in {cache_dir().name}/ "
+        f"in {time.perf_counter() - start:.0f} s wall")
     return result
 
 

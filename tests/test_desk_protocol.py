@@ -1,9 +1,11 @@
-"""The desk job table, the cache digest, and the byte-identity gate for desk
-checkpoints: ``desk_protocol.py compare``."""
+"""The desk job table, the cache digest, the job logs' times, and the
+byte-identity gate for desk checkpoints: ``desk_protocol.py compare``."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import desk_protocol
 
@@ -95,3 +97,36 @@ def test_cache_digest_ignores_comments_and_blank_lines(tmp_path, monkeypatch):
     assert desk_protocol._source_digest() == digest
     tensor.write_text(source.replace("0.5 / o", "0.25 / o"))
     assert desk_protocol._source_digest() != digest
+
+
+def test_reached_seconds_sums_the_log_up_to_each_iteration(tmp_path):
+    # a bottleneck-like log: the scale-only phases log iterations past the
+    # final one, once per phase
+    log = tmp_path / "job.log.csv"
+    rows = [(1, 10.0), (2, 20.0), (3, 30.5), (4, 1.0), (5, 2.0), (4, 3.0), (5, 4.0)]
+    log.write_text("iteration,lambda,rate_bpp,mse,loss,lr,ms\n" + "".join(
+        f"{it},64,0.1,0.01,1.0,0.0001,{ms:.2f}\n" for it, ms in rows))
+    reached = desk_protocol.reached_seconds(log, 3)
+    assert reached == pytest.approx({1: 0.01, 2: 0.03, 3: 0.0705, 4: 0.0615, 5: 0.0635})
+
+
+def test_ensure_trained_ends_with_job_count_and_wall_time(tmp_path, monkeypatch):
+    class Finished:
+        returncode = 0
+
+        def __init__(self, cmd, **kwargs):
+            pass
+
+        def poll(self):
+            return 0
+
+    jobs = [("mae", None, 0), ("independent", 1, 2)]
+    monkeypatch.setattr(desk_protocol, "pending_jobs", lambda: ({}, jobs))
+    monkeypatch.setattr(desk_protocol, "cache_dir", lambda: tmp_path / "digest")
+    monkeypatch.setattr(desk_protocol.subprocess, "Popen", Finished)
+    lines = []
+    assert desk_protocol.ensure_trained(log=lines.append) == {}
+    assert lines[-1].startswith("[desk] trained 2 jobs in digest/ in ")
+    assert lines[-1].endswith(" s wall")
+    assert sorted(p.name for p in (tmp_path / "digest").iterdir()) == [
+        "independent1_seed2.joblog", "mae_seed0.joblog"]

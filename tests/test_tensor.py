@@ -262,17 +262,18 @@ class TestConvAgainstReference:
         # the GEMMs return +0.0 for a zero input times negative weights, so
         # -0.0 contributions are fed to the scatter directly: each adds to
         # the canvas's +0.0, in every path, as the reference's taps do; the
-        # phase path's zero columns past w are -0.0 as well
+        # phase path takes its taps tap-major, and its zero rows and columns
+        # past h and w are -0.0 as well
         rng = np.random.default_rng(c * 100 + k)
         contrib = rng.standard_normal((c * k * k, n * h * w)).astype(np.float32)
         contrib[:, ::2] = -0.0
         side = (h - 1) * stride + k, (w - 1) * stride + k
         if T._phase_major(k, k, stride, contrib.size):
-            v = -(-side[1] // stride)
-            wide = np.full((c * k * k, n, h, v), -0.0, np.float32)
-            wide[..., :w] = contrib.reshape(c * k * k, n, h, w)
+            rows, v = (-(-s // stride) for s in side)
+            wide = np.full((k, k, c, n, rows, v), -0.0, np.float32)
+            wide[..., :h, :w] = contrib.reshape(c, k, k, n, h, w).transpose(1, 2, 0, 3, 4, 5)
             got = T._phase_scatter(wide, np.empty((n, c) + side, np.float32),
-                                   k, k, stride, 0, h, v)
+                                   k, k, stride, 0)
         else:
             got = T._col2im(contrib, np.zeros((n, c) + side, np.float32), k, k, stride, h, w)
         ref = reference_conv._scatter_windows(
@@ -305,6 +306,17 @@ class TestConvAgainstReference:
         below, at, above = (16 * 4 * 4 * h * w for h, w in SCATTER_POSITIONS)
         assert below < at == T._SMALL_SCATTER < above
 
+    def test_train_step_shapes_reach_the_phase_path(self):
+        # the benchmark's train step, 8 crops of 48^2, scatters by phase in
+        # both synthesis stages here and in the middle analysis stage's
+        # input gradient
+        for case in [("convT", 8, 32, 32, 6, 6, 5, 2, 2), ("convT", 8, 32, 3, 12, 12, 9, 4, 4),
+                     ("conv", 8, 32, 32, 12, 12, 5, 2, 2)]:
+            kind, n, ci, co, h, w, k, stride, pad = case
+            if kind == "conv":  # the gradient of a (ho, wo) output, back to ci channels
+                co, h, w = ci, (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            assert case in CONV_CASES and T._phase_major(k, k, stride, co * k * k * n * h * w)
+
     def test_negative_zero_cases_reach_every_path(self):
         # the tap loop (windows that do not overlap), add.at and the phase path
         paths = {"loop" if k <= stride else
@@ -326,6 +338,17 @@ class TestConvAgainstReference:
             assert np.shares_memory(cols, x)
         else:
             assert cols.flags.c_contiguous and not np.shares_memory(cols, x)
+
+    @pytest.mark.parametrize("rows", [3, 1024])
+    def test_im2col_of_a_strided_view(self, rng, rows):
+        # a gradient reaches the unpadded gather as any view: its windows
+        # are those of its values, in the small layout and the blocked one
+        base = rng.standard_normal((12, 2, 16, 17)).astype(np.float32)
+        for view in (base.transpose(1, 0, 2, 3), base[::3, :, 1:, ::2]):
+            got = T._im2col(view, 5, 5, 2, 0, rows)
+            want = T._im2col(np.ascontiguousarray(view), 5, 5, 2, 0, rows)
+            assert got.ndim == (2 if rows == 3 else 6)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestAffine:

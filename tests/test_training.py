@@ -213,6 +213,38 @@ class TestAdam:
         Adam([p]).step({p: np.array([1.0])}, lr=0.1)
         assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
 
+    def test_flat_update_matches_a_per_tensor_loop(self, rng):
+        # float32 and float64 tensors at two learning-rate scales in one
+        # optimizer, against the per-tensor loop, over an lr halving
+        shapes = [(3, 4), (5,), (2, 3, 2, 2), (7,), (1,), (4, 1, 3)]
+        dtypes = [np.float32, np.float64, np.float32, np.float64, np.float32, np.float32]
+        scales = [1.0, 1.0, 5.0, 5.0, 1.0, 5.0]
+        params = [T.Tensor(rng.normal(size=s).astype(d), requires_grad=True)
+                  for s, d in zip(shapes, dtypes)]
+        ref = [p.data.copy() for p in params]
+        m, v = [np.zeros_like(r) for r in ref], [np.zeros_like(r) for r in ref]
+        opt = Adam(params, lr_scale=scales)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for step in range(1, 7):
+            lr = 1e-2 if step <= 3 else 5e-3
+            grads = {p: rng.normal(size=p.shape).astype(p.dtype) for p in params}
+            opt.step(grads, lr)
+            for p, r, mi, vi, scale in zip(params, ref, m, v, scales):
+                g = grads[p]
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * np.square(g)
+                m_hat = mi / (1.0 - b1 ** step)
+                v_hat = vi / (1.0 - b2 ** step)
+                r -= (lr * scale) * m_hat / (np.sqrt(v_hat) + eps)
+                assert p.data.dtype == r.dtype and p.data.tobytes() == r.tobytes(), step
+
+    def test_gradient_of_another_dtype_rejected(self):
+        p = T.Tensor(np.zeros(3, np.float32), requires_grad=True)
+        with pytest.raises(TypeError):
+            Adam([p]).step({p: np.ones(3)}, lr=0.1)
+
     def test_projection_after_step(self):
         model = tiny_model()
         beta = model.parameters()["encoder.gdn0.beta"]
