@@ -217,25 +217,21 @@ def _pad_hw(x, pad):
 
 # Convolutions run as GEMMs over channels-first arrays: an array of shape
 # (..., N, h, w) stands for the matrix whose columns are its N*h*w spatial
-# positions and whose rows flatten the leading axes.  _im2col gathers the
-# strided windows of a feature map into such an array, or, for a small
-# product, straight into its positions-major transpose (_positions);
-# _col2im and _phase_scatter add one back.
+# positions and whose rows flatten the leading axes (_rows).  Every product
+# is kernel_matrix @ _rows(arr), and a kernel gradient _rows(g) @
+# _rows(arr).T.  _im2col gathers the strided windows of a feature map into
+# such an array; _col2im and _phase_scatter add one back, and 1x1 windows
+# at stride 1 need neither.
 
 
-def _im2col(x, kh, kw, stride, padding, rows):
+def _im2col(x, kh, kw, stride, padding):
     """The strided kh x kw windows of x, zero-padded by ``padding`` on each
-    side, for a product with a (rows, C*kh*kw) kernel matrix.
+    side: the (C, kh, kw, N, ho, wo) array whose entry (c, a, b, n, i, j)
+    is tap (a, b) of channel c in the window of output position (n, i, j).
 
-    A product that is small for either of its two uses (the forward map
-    and the kernel gradient, see _small_gemm) gets the (N*ho*wo, C*kh*kw)
-    matrix whose row (n, i, j) is the window of output position (n, i, j),
-    the layout those products multiply; a blocked one gets the (C, kh, kw,
-    N, ho, wo) array, entry (c, a, b, n, i, j) tap (a, b) of channel c in
-    the window of (n, i, j).  Either is a fresh C-contiguous copy of one
-    strided view, never a view of x: callers keep it for backward.  1x1
-    windows at stride 1 are the padded x itself, returned as a (C, N, H, W)
-    view.
+    A fresh C-contiguous copy of one strided view, never a view of x:
+    callers keep it for backward.  1x1 windows at stride 1 are the padded x
+    itself, returned as a (C, N, H, W) view.
     """
     x = _pad_hw(x, padding)
     if kh == kw == stride == 1:
@@ -247,17 +243,13 @@ def _im2col(x, kh, kw, stride, padding, rows):
     n, c, h, w = x.shape
     ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
     sn, sc, sh, sw = x.strides
-    m, k = n * ho * wo, c * kh * kw
-    if _small_gemm(rows, k, m) or _small_gemm(rows, m, k):
-        return np.ndarray((n, ho, wo, c, kh, kw), x.dtype, x,
-                          strides=(sn, sh * stride, sw * stride, sc, sh, sw)).copy().reshape(m, k)
     return np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x,
                       strides=(sc, sh, sw, sn, sh * stride, sw * stride)).copy()
 
 
-# Overlapping windows whose contribution matrix has at most this many
-# elements are scattered by _col2im as one np.add.at over an index kept per
-# shape; larger ones by _phase_scatter.  Measured on one core (float32, index
+# Windows whose contribution matrix has at most this many elements are
+# scattered by _col2im as one np.add.at over an index kept per shape;
+# larger ones by _phase_scatter.  Measured on one core (float32, index
 # kept, whole _conv2d_transpose calls), where the two cross depends on the
 # stage: near 50,000 elements for 5x5 stride-2 windows over 32 channels
 # (phase/add.at 1.38 at 33,600, 0.91 at 51,200 and 57,600, but 1.23 for
@@ -269,33 +261,23 @@ _SMALL_SCATTER = 1 << 16
 _SCATTER_INDICES = 32
 
 
-def _phase_major(kh, kw, stride, size):
+def _phase_major(size):
     """Whether a scatter of ``size`` contribution elements runs through
-    _phase_scatter: overlapping windows past _SMALL_SCATTER."""
-    return (kh > stride or kw > stride) and size > _SMALL_SCATTER
+    _phase_scatter: past _SMALL_SCATTER."""
+    return size > _SMALL_SCATTER
 
 
 def _col2im(contrib, canvas, kh, kw, stride, h, w):
     """Add a (C*kh*kw, N*h*w) contribution matrix into the strided NCHW canvas.
 
-    The adjoint of _im2col.  Taps are added in (a, b) order, so every
-    canvas pixel sums its contributions in that order.  Overlapping
-    windows go through one unbuffered np.add.at, whose indices run in the
-    contribution's own (c, a, b, n, i, j) order; callers send it at most
-    _SMALL_SCATTER elements (_phase_major).  Windows that do not overlap
-    (kh, kw <= stride) give every pixel at most one add, so they are added
-    one tap slice at a time at any size.  canvas must be C-contiguous.
+    The adjoint of _im2col: one unbuffered np.add.at, whose indices run in
+    the contribution's own (c, a, b, n, i, j) order, so every canvas pixel
+    sums its contributions in tap (a, b) order.  Callers send it at most
+    _SMALL_SCATTER elements (_phase_major).  canvas must be C-contiguous.
     """
     n, c, hc, wc = canvas.shape
-    if kh > stride or kw > stride:
-        np.add.at(canvas.reshape(-1), _scatter_index(c, kh, kw, stride, h, w, n, hc, wc),
-                  contrib.reshape(-1))
-        return canvas
-    contrib = contrib.reshape(c, kh, kw, n, h, w)
-    for a in range(kh):
-        for b in range(kw):
-            canvas[:, :, a : a + (h - 1) * stride + 1 : stride,
-                   b : b + (w - 1) * stride + 1 : stride] += contrib[:, a, b].transpose(1, 0, 2, 3)
+    np.add.at(canvas.reshape(-1), _scatter_index(c, kh, kw, stride, h, w, n, hc, wc),
+              contrib.reshape(-1))
     return canvas
 
 
@@ -322,8 +304,6 @@ def _phase_scatter(contrib, out, kh, kw, stride, padding):
     n, c, ho, wo = out.shape
     rows, v = -(-(ho + 2 * padding) // stride), -(-(wo + 2 * padding) // stride)
     size = c * n * rows * v
-    # a view of a blocked product; a small one (under 32 input channels on
-    # this path, which no model stage has) comes back transposed and is copied
     contrib = contrib.reshape(kh, kw, size)
     plane = np.empty(size, dtype=contrib.dtype)
     grid = plane.reshape(c, n, rows, v)
@@ -360,50 +340,8 @@ def _scatter_index(c, kh, kw, stride, h, w, n, hc, wc):
 
 def _rows(arr):
     # (..., N, h, w) -> (rows, N*h*w); a view unless N > 1 and arr is a
-    # transposed NCHW array.  _im2col's positions matrix is transposed
-    if arr.ndim == 2:
-        return arr.T
+    # transposed NCHW array
     return arr.reshape(-1, arr.shape[-3] * arr.shape[-2] * arr.shape[-1])
-
-
-def _positions(arr):
-    # (C, N, h, w) -> (N*h*w, C), laid out as np.tensordot laid out the
-    # same matrix, a view where one exists; _im2col's positions matrix is
-    # already that matrix
-    if arr.ndim == 2:
-        return arr
-    return arr.transpose(1, 2, 3, 0).reshape(-1, arr.shape[0])
-
-
-# Small products (at most _SMALL_GEMM multiply-adds) and matrix-vector
-# products are formed with the spatial positions as rows, from operands
-# laid out as np.tensordot lays them out for the sliding-window formulation
-# (tests/reference_conv.py).  OpenBLAS (0.3.31, AVX-512) sends products of
-# up to 10**6 multiply-adds to small-matrix kernels, and matrix-vector
-# products to gemv, whose summation order depends on the operands' layout;
-# this layout keeps their sums bit for bit.  Larger products run through
-# the blocked GEMM, which packs its operands and sums the same way in
-# either layout.
-_SMALL_GEMM = 1 << 21
-
-
-def _small_gemm(p, q, m):
-    return p * q * m <= _SMALL_GEMM or min(p, m) == 1
-
-
-def _matmul_positions(a, arr):
-    """a (p, q) @ _rows(arr) -> (p, N*h*w)."""
-    if _small_gemm(a.shape[0], a.shape[1], arr.size // a.shape[1]):
-        return np.dot(_positions(arr), a.T).T
-    return a @ _rows(arr)
-
-
-def _kernel_grad(g, arr, shape):
-    """_rows(g) @ _rows(arr).T, reshaped to the kernel's shape."""
-    g2 = _rows(g)
-    if _small_gemm(g2.shape[0], g2.shape[1], arr.size // g2.shape[1]):
-        return np.dot(g2, _positions(arr)).reshape(shape)
-    return (g2 @ _rows(arr).T).reshape(shape)
 
 
 def _check_conv_args(stride, padding):
@@ -445,7 +383,7 @@ def conv2d(x, kernel, stride=1, padding=0):
             gx = _conv2d_transpose(g, kernel.data, stride, padding, extra)
         gk = None
         if kernel.requires_grad:
-            gk = _kernel_grad(g.transpose(1, 0, 2, 3), cols, kernel.shape)
+            gk = (_rows(g.transpose(1, 0, 2, 3)) @ _rows(cols).T).reshape(kernel.shape)
         return gx, gk
 
     return _record("conv2d", out, (x, kernel), backward,
@@ -457,8 +395,8 @@ def _conv2d(x, kernel, stride, padding):
     the output and the window buffer that a kernel gradient reads."""
     n, _, h, w = x.shape
     co, _, kh, kw = kernel.shape
-    cols = _im2col(x, kh, kw, stride, padding, co)
-    out = _matmul_positions(kernel.reshape(co, -1), cols).reshape(
+    cols = _im2col(x, kh, kw, stride, padding)
+    out = (kernel.reshape(co, -1) @ _rows(cols)).reshape(
         co, n, (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
@@ -494,10 +432,10 @@ def conv2d_transpose(x, kernel, stride=1, padding=0):
         if x.requires_grad:
             gx, cols = _conv2d(g, kernel.data, stride, padding)
         else:
-            gx, cols = None, _im2col(g, kh, kw, stride, padding, ki)
+            gx, cols = None, _im2col(g, kh, kw, stride, padding)
         gk = None
         if kernel.requires_grad:
-            gk = _kernel_grad(x.data.transpose(1, 0, 2, 3), cols, kernel.shape)
+            gk = (_rows(x.data.transpose(1, 0, 2, 3)) @ _rows(cols).T).reshape(kernel.shape)
         return gx, gk
 
     return _record("conv2d_transpose", out, (x, kernel), backward,
@@ -512,17 +450,21 @@ def _conv2d_transpose(x, kernel, stride, padding, extra):
     _, co, kh, kw = kernel.shape
     hc = (h - 1) * stride + kh + extra[0]
     wc = (w - 1) * stride + kw + extra[1]
-    if _phase_major(kh, kw, stride, co * kh * kw * n * h * w):
+    if kh == kw == stride == 1:
+        # the adjoint of _im2col's 1x1 view: the product is the canvas
+        canvas = (kernel.reshape(ci, -1).T @ _rows(x.transpose(1, 0, 2, 3))).reshape(
+            co, n, h, w).transpose(1, 0, 2, 3)
+    elif _phase_major(co * kh * kw * n * h * w):
         # tap-major rows, (a, b, co), over the input zero-padded to the
         # phase plane's rows and columns (_phase_scatter)
         wide = np.zeros((ci, n, -(-hc // stride), -(-wc // stride)), dtype=x.dtype)
         wide[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
         out = np.empty((n, co, hc - 2 * padding, wc - 2 * padding), dtype=x.dtype)
-        return _phase_scatter(_matmul_positions(kernel.transpose(0, 2, 3, 1).reshape(ci, -1).T,
-                                                wide), out, kh, kw, stride, padding)
-    canvas = np.zeros((n, co, hc, wc), dtype=x.dtype)
-    _col2im(_matmul_positions(kernel.reshape(ci, -1).T, x.transpose(1, 0, 2, 3)), canvas,
-            kh, kw, stride, h, w)
+        return _phase_scatter(kernel.transpose(0, 2, 3, 1).reshape(ci, -1).T @ _rows(wide),
+                              out, kh, kw, stride, padding)
+    else:
+        canvas = _col2im(kernel.reshape(ci, -1).T @ _rows(x.transpose(1, 0, 2, 3)),
+                         np.zeros((n, co, hc, wc), dtype=x.dtype), kh, kw, stride, h, w)
     return np.ascontiguousarray(canvas[:, :, padding : hc - padding, padding : wc - padding])
 
 

@@ -49,8 +49,11 @@ class TrainingConfig:
     snapshot_iters: tuple = ()
 
     def __post_init__(self):
-        if self.crop_size % 16:
-            raise ContractViolation(f"crop size must be a multiple of 16, got {self.crop_size}")
+        if self.crop_size <= 0 or self.crop_size % 16:
+            raise ContractViolation(
+                f"crop size must be a positive multiple of 16, got {self.crop_size}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if min(self.lr_main, self.lr_entropy) <= 0:
             raise ContractViolation("learning rates must be positive")
         if self.halve_at > self.total_iters:

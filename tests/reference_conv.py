@@ -4,9 +4,11 @@
 codec used before its im2col/col2im GEMMs: windows are a strided
 ``sliding_window_view``, every product is one ``np.tensordot``, and the
 transposed direction scatters a (N, C, H, W, kh, kw) contribution array
-tap by tap.  They are slower, but each direction is a few plain lines,
-and the codec's convolutions must return the same float32 bits for the
-forward map and both gradients.
+tap by tap.  They are slower, but each direction is a few plain lines.
+The codec's convolutions must match them for the forward map and both
+gradients, within a few float32 rounding steps (their GEMMs may sum in
+another order), and its scatters must add the same contributions to the
+same float32 bits as ``_scatter_windows``.
 """
 
 import numpy as np

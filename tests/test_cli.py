@@ -349,6 +349,32 @@ def test_malformed_config_value_is_an_error(tmp_path, capsys, line):
     assert err.startswith(f"error: {cfg}:1: ") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("crop_size = -16", "crop size must be a positive multiple of 16, got -16"),
+    ("crop_size = 0", "crop size must be a positive multiple of 16, got 0"),
+    ("seed = -1", "seed must be >= 0, got -1"),
+], ids=["crop_size-16", "crop_size0", "seed-1"])
+def test_train_rejects_a_bad_crop_size_or_seed(workspace, tmp_path, capsys, line, message):
+    # -16 used to reach np.empty and -1 np.random.default_rng, each ending
+    # in a ValueError traceback; 0 ended in a conv error
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = mae\n{line}\n")
+    out = tmp_path / "bad.ckpt"
+    assert main(["train", "--config", str(cfg), "--images", str(workspace / "imgs"),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
+    out = tmp_path / "bad.ckpt"
+    assert main(["train", "--config", "default", "--images", str(workspace / "imgs"),
+                 "--output", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_usage_error_exit_code_is_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

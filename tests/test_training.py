@@ -316,7 +316,7 @@ class TestTrainLoop:
             for _, ckpt in train(cfg, images):
                 digest.update(ckpt.to_bytes())
         assert digest.hexdigest() == \
-            "3e5dc3e980b323e5325bc05af6819eb233f4fb6e3e8617b96df7dc027f017f46"
+            "84d879170f7cf4766124eaec0f425b13de2b729a8d36b3f25bf8cbcaac3bae3c"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bottleneck_holds_the_independent_top_model(self, seed):
