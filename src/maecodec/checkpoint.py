@@ -86,11 +86,16 @@ class Checkpoint:
         params = {}
         try:
             for name, shape in header["params"]:
-                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+                # frombuffer reads the rest of the file for count=-1
+                if not all(type(d) is int and d >= 0 for d in shape):
+                    raise CheckpointError(
+                        f"malformed checkpoint header: block {name!r} has shape {shape!r}, "
+                        f"not a list of integers >= 0")
+                count = math.prod(shape)
                 end = offset + 4 * count
                 if end > len(data):
                     raise CheckpointError(f"checkpoint truncated inside block {name!r}")
-                params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).copy()
+                params[name] = np.frombuffer(data, "<f4", count, offset).reshape(shape).copy()
                 offset = end
             lambda_index, iteration = header["lambda_index"], header["iteration"]
             # checked, not converted: _layout writes the values back as read

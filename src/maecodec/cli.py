@@ -14,67 +14,6 @@ from pathlib import Path
 from .exceptions import MaecodecError
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="maecodec",
-        description="Variable-rate learned image codec with a tradeoff-modulated autoencoder.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    train = sub.add_parser("train", help="train a codec and write a checkpoint")
-    train.add_argument("--config", required=True,
-                       help="key=value training config file, or 'default'")
-    train.add_argument("--images", required=True, help="directory of training images")
-    train.add_argument("--output", required=True, help="checkpoint path to write")
-    train.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    comp = sub.add_parser("compress", help="image file -> .mae bitstream")
-    comp.add_argument("--checkpoint", required=True)
-    comp.add_argument("--input", required=True)
-    comp.add_argument("--output", required=True)
-    comp.add_argument("--lambda-index", type=int, required=True)
-
-    dec = sub.add_parser("decompress", help=".mae bitstream -> image file")
-    dec.add_argument("--checkpoint", required=True)
-    dec.add_argument("--input", required=True)
-    dec.add_argument("--output", required=True)
-
-    ins = sub.add_parser("inspect",
-                         help="a .mae file's header, payload bits and coder overhead")
-    ins.add_argument("file", help=".mae bitstream")
-    ins.add_argument("--checkpoint", required=True, help="the checkpoint that wrote it")
-
-    ev = sub.add_parser("evaluate", help="bpp/PSNR/MS-SSIM of one checkpoint over images")
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--images", required=True)
-    ev.add_argument("--lambda-index", type=int, default=None,
-                    help="restrict to one tradeoff (default: every one the checkpoint serves)")
-    ev.add_argument("--output", default=None, help="write CSV here instead of stdout")
-
-    curve = sub.add_parser("rd-curve", help="rate-distortion CSV over several checkpoints")
-    curve.add_argument("--checkpoint", required=True, action="append",
-                       help="checkpoint path; repeat or comma-separate for several")
-    curve.add_argument("--images", required=True)
-    curve.add_argument("--output", required=True)
-
-    ratio = sub.add_parser("inspect-ratio",
-                           help="per-channel latent ratio maps between two tradeoffs")
-    ratio.add_argument("--checkpoint", required=True)
-    ratio.add_argument("--input", required=True, help="probe image")
-    ratio.add_argument("--lambda-index", required=True,
-                       help="pair 'a,b' of tradeoff indices, e.g. '2,0'")
-    ratio.add_argument("--channels", default=None,
-                       help="comma-separated channel list (default: all)")
-    ratio.add_argument("--output", required=True, help="directory for PGM maps")
-
-    pc = sub.add_parser("param-count", help="per-component parameter counts")
-    pc.add_argument("--config", default="default",
-                    help="training config file or 'default' (192 channels)")
-    pc.add_argument("--channels", type=int, default=None, help="override channel count")
-
-    return parser
-
-
 def _cmd_train(args):
     from dataclasses import replace
 
@@ -214,22 +153,79 @@ def _cmd_param_count(args):
     return 0
 
 
+_REQUIRED = {"required": True}
+
+# command -> (handler, help line, ((flag, add_argument options), ...))
 _COMMANDS = {
-    "train": _cmd_train,
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "inspect": _cmd_inspect,
-    "evaluate": _cmd_evaluate,
-    "rd-curve": _cmd_rd_curve,
-    "inspect-ratio": _cmd_inspect_ratio,
-    "param-count": _cmd_param_count,
+    "train": (_cmd_train, "train a codec and write a checkpoint", (
+        ("--config", dict(required=True, help="key=value training config file, or 'default'")),
+        ("--images", dict(required=True, help="directory of training images")),
+        ("--output", dict(required=True, help="checkpoint path to write")),
+        ("--seed", dict(type=int, help="override the config seed")))),
+    "compress": (_cmd_compress, "image file -> .mae bitstream", (
+        ("--checkpoint", _REQUIRED),
+        ("--input", _REQUIRED),
+        ("--output", _REQUIRED),
+        ("--lambda-index", dict(type=int, required=True)))),
+    "decompress": (_cmd_decompress, ".mae bitstream -> image file", (
+        ("--checkpoint", _REQUIRED),
+        ("--input", _REQUIRED),
+        ("--output", _REQUIRED))),
+    "inspect": (_cmd_inspect, "a .mae file's header, payload bits and coder overhead", (
+        ("file", dict(help=".mae bitstream")),
+        ("--checkpoint", dict(required=True, help="the checkpoint that wrote it")))),
+    "evaluate": (_cmd_evaluate, "bpp/PSNR/MS-SSIM of one checkpoint over images", (
+        ("--checkpoint", _REQUIRED),
+        ("--images", _REQUIRED),
+        ("--lambda-index", dict(
+            type=int, help="restrict to one tradeoff (default: every one the checkpoint serves)")),
+        ("--output", dict(help="write CSV here instead of stdout")))),
+    "rd-curve": (_cmd_rd_curve, "rate-distortion CSV over several checkpoints", (
+        ("--checkpoint", dict(required=True, action="append",
+                              help="checkpoint path; repeat or comma-separate for several")),
+        ("--images", _REQUIRED),
+        ("--output", _REQUIRED))),
+    "inspect-ratio": (_cmd_inspect_ratio, "per-channel latent ratio maps between two tradeoffs", (
+        ("--checkpoint", _REQUIRED),
+        ("--input", dict(required=True, help="probe image")),
+        ("--lambda-index", dict(required=True,
+                                help="pair 'a,b' of tradeoff indices, e.g. '2,0'")),
+        ("--channels", dict(help="comma-separated channel list (default: all)")),
+        ("--output", dict(required=True, help="directory for PGM maps")))),
+    "param-count": (_cmd_param_count, "per-component parameter counts", (
+        ("--config", dict(default="default",
+                          help="training config file or 'default' (192 channels)")),
+        ("--channels", dict(type=int, help="override channel count")))),
 }
 
 
+def _build_parser(argv):
+    """The top-level parser with the subparser of the command ``argv[0]``
+    names, or with all eight when it names none (no command, --help, an
+    unknown name), whose usage, help and error texts list them all."""
+    parser = argparse.ArgumentParser(
+        prog="maecodec",
+        description="Variable-rate learned image codec with a tradeoff-modulated autoencoder.",
+    )
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # with one subparser built, the usage line still lists every command; with
+    # all built, argparse writes that list itself and names the argument
+    # "command" in its errors, as a metavar would not
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, help_line, arguments = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except MaecodecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -90,6 +90,12 @@ def compress_image(codec, image_hwc, lambda_index):
         raise ContractViolation(
             f"lambda index {lambda_index} is not a tradeoff this checkpoint serves "
             f"(it serves {served})")
+    # decided from the shape and dtype alone, with no pass over the pixels;
+    # uint8 pixels would be coded as if 0-255 were the [0, 1] scale
+    if image_hwc.ndim != 3 or image_hwc.shape[2] != 3 or image_hwc.dtype.kind != "f":
+        raise ContractViolation(
+            f"compress_image expects a floating-point (H, W, 3) image in [0, 1], got "
+            f"shape {image_hwc.shape} and dtype {image_hwc.dtype}")
     h, w = image_hwc.shape[:2]
     if h * w > MAX_PIXELS:
         raise ContractViolation(

@@ -156,22 +156,26 @@ class CdfTable:
     q + offset with offset = L.
     """
 
-    __slots__ = ("cum", "offset")
+    __slots__ = ("cum", "offset", "_freqs")
 
     def __init__(self, cum, offset):
         self.cum = np.asarray(cum, dtype=np.int64)
         self.offset = int(offset)
         if self.cum[0] != 0 or self.cum[-1] != TOTAL_FREQ:
             raise ContractViolation("CdfTable must span exactly [0, 65536]")
-        if np.any(np.diff(self.cum) < 1):
+        self._freqs = np.diff(self.cum)
+        if np.any(self._freqs < 1):
             raise ContractViolation("CdfTable frequencies must all be >= 1")
+        self._freqs.setflags(write=False)
 
     @property
     def num_symbols(self):
         return len(self.cum) - 1
 
     def frequencies(self):
-        return np.diff(self.cum)
+        """Each symbol's frequency, cum[v + 1] - cum[v]: the int64 array the
+        constructor checked, computed once and read-only."""
+        return self._freqs
 
     def bits_for(self, symbols):
         """Cross-entropy of a symbol sequence under this table, in bits."""

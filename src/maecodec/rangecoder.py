@@ -115,11 +115,11 @@ def rc_decode(data, tables, count):
     last = TOTAL_FREQ - 1
     out = np.empty((len(tables), run), dtype=np.int64)
     for c, table in enumerate(tables):
+        freqs = table.frequencies()
         # symbol_at[v] is the symbol s with cum[s] <= v < cum[s + 1]
-        symbol_at = memoryview(np.repeat(np.arange(table.num_symbols, dtype=np.uint16),
-                                         table.frequencies()))
+        symbol_at = memoryview(np.repeat(np.arange(table.num_symbols, dtype=np.uint16), freqs))
         cum = table.cum.tolist()
-        freq = table.frequencies().tolist()
+        freq = freqs.tolist()
         decoded = []
         push = decoded.append
         for _ in range(run):

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand, exit codes, and output formats."""
 
+import argparse
 import struct
 
 import numpy as np
@@ -49,6 +50,32 @@ def test_compress_decompress_cycle(workspace, capsys):
     from maecodec.image_io import read_ppm
 
     assert read_ppm(out).shape == (96, 96, 3)
+
+
+def test_a_call_builds_only_its_own_parser(workspace, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    ckpt = str(workspace / "model.ckpt")
+    src, mae = str(workspace / "imgs" / "img_0.ppm"), str(workspace / "count.mae")
+    for argv in (["compress", "--checkpoint", ckpt, "--input", src, "--output", mae,
+                  "--lambda-index", "0"],
+                 ["decompress", "--checkpoint", ckpt, "--input", mae,
+                  "--output", str(workspace / "count.ppm")]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == ["maecodec", f"maecodec {argv[0]}"]
+    # a call that names no command builds every subparser, for the full help
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == 9
+    capsys.readouterr()
 
 
 def test_inspect_reports_where_the_bits_go(workspace, capsys):
@@ -375,10 +402,160 @@ def test_train_rejects_a_negative_seed_flag(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_usage_error_exit_code_is_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["compress", "--bogus-flag", "x"])
-    assert exc.value.code == 2
+_COMMAND_LIST = "{train,compress,decompress,inspect,evaluate,rd-curve,inspect-ratio,param-count}"
+_CHOICES = ("'train', 'compress', 'decompress', 'inspect', 'evaluate', 'rd-curve', "
+            "'inspect-ratio', 'param-count'")
+_USAGE = f"usage: maecodec [-h]\n                {_COMMAND_LIST}\n                ...\n"
+_COMPRESS_USAGE = ("usage: maecodec compress [-h] --checkpoint CHECKPOINT --input INPUT --output\n"
+                   "                         OUTPUT --lambda-index LAMBDA_INDEX\n")
+_DECOMPRESS_USAGE = ("usage: maecodec decompress [-h] --checkpoint CHECKPOINT --input INPUT "
+                     "--output\n                           OUTPUT\n")
+_PARTIAL_COMPRESS = ["compress", "--checkpoint", "c", "--input", "i"]
+
+# the usage surface as the parser writes it at 80 columns (Python 3.11's
+# argparse): exit code, stdout, stderr
+_HELP = {
+    "--help": _USAGE + f"""
+Variable-rate learned image codec with a tradeoff-modulated autoencoder.
+
+positional arguments:
+  {_COMMAND_LIST}
+    train               train a codec and write a checkpoint
+    compress            image file -> .mae bitstream
+    decompress          .mae bitstream -> image file
+    inspect             a .mae file's header, payload bits and coder overhead
+    evaluate            bpp/PSNR/MS-SSIM of one checkpoint over images
+    rd-curve            rate-distortion CSV over several checkpoints
+    inspect-ratio       per-channel latent ratio maps between two tradeoffs
+    param-count         per-component parameter counts
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "train": """\
+usage: maecodec train [-h] --config CONFIG --images IMAGES --output OUTPUT
+                      [--seed SEED]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key=value training config file, or 'default'
+  --images IMAGES  directory of training images
+  --output OUTPUT  checkpoint path to write
+  --seed SEED      override the config seed
+""",
+    "compress": _COMPRESS_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --input INPUT
+  --output OUTPUT
+  --lambda-index LAMBDA_INDEX
+""",
+    "decompress": _DECOMPRESS_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --input INPUT
+  --output OUTPUT
+""",
+    "inspect": """\
+usage: maecodec inspect [-h] --checkpoint CHECKPOINT file
+
+positional arguments:
+  file                  .mae bitstream
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+                        the checkpoint that wrote it
+""",
+    "evaluate": """\
+usage: maecodec evaluate [-h] --checkpoint CHECKPOINT --images IMAGES
+                         [--lambda-index LAMBDA_INDEX] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --images IMAGES
+  --lambda-index LAMBDA_INDEX
+                        restrict to one tradeoff (default: every one the
+                        checkpoint serves)
+  --output OUTPUT       write CSV here instead of stdout
+""",
+    "rd-curve": """\
+usage: maecodec rd-curve [-h] --checkpoint CHECKPOINT --images IMAGES --output
+                         OUTPUT
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+                        checkpoint path; repeat or comma-separate for several
+  --images IMAGES
+  --output OUTPUT
+""",
+    "inspect-ratio": """\
+usage: maecodec inspect-ratio [-h] --checkpoint CHECKPOINT --input INPUT
+                              --lambda-index LAMBDA_INDEX
+                              [--channels CHANNELS] --output OUTPUT
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --input INPUT         probe image
+  --lambda-index LAMBDA_INDEX
+                        pair 'a,b' of tradeoff indices, e.g. '2,0'
+  --channels CHANNELS   comma-separated channel list (default: all)
+  --output OUTPUT       directory for PGM maps
+""",
+    "param-count": """\
+usage: maecodec param-count [-h] [--config CONFIG] [--channels CHANNELS]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      training config file or 'default' (192 channels)
+  --channels CHANNELS  override channel count
+""",
+}
+
+
+def _run(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    argv = [command] if command == "--help" else [command, "--help"]
+    assert _run(monkeypatch, capsys, argv) == (0, _HELP[command], "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], _USAGE + "maecodec: error: the following arguments are required: command\n"),
+    (["no-such-command"], _USAGE + "maecodec: error: argument command: invalid choice: "
+                                   f"'no-such-command' (choose from {_CHOICES})\n"),
+    (["bogus"], _USAGE + f"maecodec: error: argument command: invalid choice: 'bogus' "
+                         f"(choose from {_CHOICES})\n"),
+    (["compress", "--bogus-flag", "x"],
+     _COMPRESS_USAGE + "maecodec compress: error: the following arguments are required: "
+                       "--checkpoint, --input, --output, --lambda-index\n"),
+    (_PARTIAL_COMPRESS + ["--lambda-index", "0"],
+     _COMPRESS_USAGE + "maecodec compress: error: the following arguments are required: "
+                       "--output\n"),
+    (_PARTIAL_COMPRESS + ["--output", "o", "--lambda-index", "x"],
+     _COMPRESS_USAGE + "maecodec compress: error: argument --lambda-index: "
+                       "invalid int value: 'x'\n"),
+    (_PARTIAL_COMPRESS + ["--output", "o", "--lambda-index", "0", "extra"],
+     _USAGE + "maecodec: error: unrecognized arguments: extra\n"),
+    (["decompress", "--bogus"],
+     _DECOMPRESS_USAGE + "maecodec decompress: error: the following arguments are required: "
+                         "--checkpoint, --input, --output\n"),
+], ids=["none", "no-such-command", "bogus", "compress-bogus-flag", "compress-no-output",
+        "compress-index-x", "compress-extra", "decompress-bogus"])
+def test_usage_error_exit_code_is_two(monkeypatch, capsys, argv, err):
+    assert _run(monkeypatch, capsys, argv) == (2, "", err)

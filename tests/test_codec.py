@@ -2,6 +2,7 @@
 accounting, hash guarding, R-D curve output, and feature-ratio maps."""
 
 import hashlib
+import re
 import struct
 import time
 import tracemalloc
@@ -141,6 +142,19 @@ class TestCompressDecompress:
         # what the decoder refuses, the encoder does not write
         image = np.broadcast_to(np.float32(0.5), (2048, MAX_PIXELS // 2048 + 1, 3))
         with pytest.raises(ContractViolation, match="budget"):
+            compress_image(trained, image, 0)
+
+    @pytest.mark.parametrize("shape, dtype", [((64, 64), np.float32),
+                                              ((64, 64, 4), np.float32),
+                                              ((64, 64, 3), np.uint8)],
+                             ids=["2-D", "4-channel", "uint8"])
+    def test_image_not_float_hw3_is_refused(self, trained, shape, dtype):
+        # a 2-D array used to end in numpy's "axes don't match array", and a
+        # uint8 one was coded as if 0-255 were the [0, 1] scale
+        image = np.full(shape, 1, dtype=dtype)
+        with pytest.raises(ContractViolation, match=rf"float.*\(H, W, 3\).*got shape "
+                                                    rf"{re.escape(str(shape))} and dtype "
+                                                    rf"{np.dtype(dtype)}"):
             compress_image(trained, image, 0)
 
     def test_file_round_trip(self, trained, tmp_path):

@@ -153,6 +153,9 @@ class TestTables:
         assert freqs[1:-1].min() == 256 and freqs[1:-1].max() == 256
         assert freqs[0] == 128 and freqs[-1] == 128
         assert table.cum[-1] == TOTAL_FREQ
+        # computed once, in the constructor, and shared read-only
+        np.testing.assert_array_equal(freqs, np.diff(table.cum))
+        assert table.frequencies() is freqs and not freqs.flags.writeable
 
     def test_min_frequency_enforced(self):
         density = _burned_in_density(channels=1, steps=150)

@@ -501,6 +501,21 @@ class TestCheckpoint:
                 Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
                                       + data[9 + head_len:])
 
+    def test_block_of_negative_or_non_integer_size_rejected(self):
+        # blocks are read from the file buffer by element count, and a count
+        # of -1 would read the rest of the file
+        data = snapshot(tiny_model(), 0).to_bytes()
+        head_len = struct.unpack(">I", data[5:9])[0]
+        header = json.loads(data[9 : 9 + head_len])
+        (name, shape), *rest = header["params"]
+        for bad in ([-1], [-1] + shape, shape + [-2], [2.5], ["4"], [None],
+                    shape[:-1] + [float(shape[-1])]):
+            head = checkpoint._canonical(dict(header, params=[[name, bad]] + rest))
+            with pytest.raises(CheckpointError, match=f"malformed checkpoint header: block "
+                                                      f"'{name}' has shape"):
+                Checkpoint.from_bytes(data[:5] + struct.pack(">I", len(head)) + head
+                                      + data[9 + head_len:])
+
     @staticmethod
     def _patched(model, index, **fields):
         data = snapshot(model, 2, lambda_index=index).to_bytes()
